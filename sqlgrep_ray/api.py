@@ -12,12 +12,19 @@ query compilation for reuse. This module mirrors that surface on Ray Data:
 ``source`` may be a ``ray.data.Dataset`` with a raw-text column, a path (text
 file → ``ray.data.read_text``; .parquet → ``read_parquet``), or a list of
 strings. ``FROM table::'file'`` bindings in the SQL override ``source``
-(reference ``main.rs:146-156``).
+(reference ``main.rs:146-156``); a joined table reads ``JOIN t::'file'``,
+else ``join_source``, else it is an error.
+
+``Tables`` and ``run_sql`` share one path, ``_run_sql_stmt``: each table
+name resolves to a CTE or derived Dataset, a caller Dataset, a Parquet
+path (pushdown scan) or a catalog ``TableDef`` over raw text (parse
+stage); ``_bind_dataset_query`` binds the query, then the plan runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from typing import Optional, Union
 
@@ -37,7 +44,6 @@ from sqlgrep_ray.functions.exprs import (
     Un,
 )
 from sqlgrep_ray.pipelines.plan import (
-    AggregatePlan,
     JoinSpec,
     Projection,
     SelectPlan,
@@ -90,9 +96,7 @@ def _rewrite_cols(e: Expr, fn) -> Expr:
 
 def _rebind_plan(plan, bind_expr, join, extra_joins=()):
     """Apply a column-binding rewrite to every expression slot of a
-    Select/Aggregate plan and attach the join spec(s) (shared by the
-    TableDef-backed ``compile_query`` path and the dataset-bound
-    ``run_sql`` path)."""
+    Select/Aggregate plan and attach the join spec(s)."""
     if isinstance(plan, SelectPlan):
         projs = plan.projections
         if projs is not None:
@@ -138,76 +142,51 @@ def _rebind_plan(plan, bind_expr, join, extra_joins=()):
     )
 
 
-def _materialize_right(rds: "ray.data.Dataset") -> pa.Table:
+def _materialize_right(
+    rds: "ray.data.Dataset", schema: Optional[pa.Schema] = None
+) -> pa.Table:
     """Fully materialize a join side (reference semantics: the joined
     table is 'loaded completely in memory', README.md:56 / join.rs:30-79).
-    Bounded by the same contract as ``Tables._build_join_side``."""
+    An empty side takes ``schema`` when the caller knows it."""
     batches = list(rds.iter_batches(batch_format="pyarrow"))
     if batches:
         return pa.concat_tables(batches, promote_options="default")
-    sch = getattr(rds.schema(), "base_schema", None)
+    sch = schema or getattr(rds.schema(), "base_schema", None)
     return sch.empty_table() if sch is not None else pa.table({})
 
 
-def _bind_dataset_query(
-    q: Query,
-    left_ds: "ray.data.Dataset",
-    resolve_join,
-):
-    """Bind a parsed Query whose FROM is an already-structured Dataset
-    (columns exist as-is; no TableDef parse stage). Strips own-table
-    qualification; join columns become ``<join_table>.<col>``; an
-    unqualified name found on the right but not the left resolves to the
-    qualified joined column (mirrors ``Tables.compile_query``)."""
-    join = None
-    extra_joins: list[JoinSpec] = []
+def _bind_dataset_query(q: Query, left_names, join_side):
+    """Bind a parsed Query. ``left_names()`` lists the FROM side's
+    columns; it is called at most once, and only when a join needs it.
+    ``join_side(table, file, alias, right_key)`` materializes one join
+    side. Strips own-table qualification; join columns become
+    ``<visible name>.<col>``; an unqualified name found on a joined side
+    but not the left resolves to that side's prefixed column."""
+    left_names = functools.cache(left_names)
+    sides = list(q.extra_joins)
+    if q.join_table is not None:
+        sides.insert(0, (q.join_table, q.join_file, q.join_alias,
+                         q.join_left_col, q.join_right_col, q.join_how))
+    specs: list[JoinSpec] = []
     # per-join bind info: visible names → prefix, and the prefixed
     # right-column sets for unqualified-name resolution
     bind_joins: list[tuple[set, str, list]] = []
-    if q.join_table is not None:
-        right = _materialize_right(resolve_join(q.join_table))
+    for jtable, jfile, jalias, jleft, jright, jhow in sides:
+        right = join_side(jtable, jfile, jalias, jright)
         # the visible name (alias when given) prefixes joined columns
-        prefix = f"{q.join_alias or q.join_table}."
-        bind_joins.append(
-            ({q.join_table, q.join_alias} - {None}, prefix, right.column_names)
-        )
-        join = JoinSpec(
-            right=right,
-            left_key=q.join_left_col,
-            right_key=q.join_right_col,
-            how=q.join_how if q.join_how in ("left", "right", "cross") else "inner",
-            right_prefix=prefix,
-        )
-    for jtable, jfile, jalias, jleft, jright, jhow in getattr(
-        q, "extra_joins", ()
-    ):
-        if jfile is not None:
-            raise SqlError(
-                "::'file' bindings are not supported on chained joins"
-            )
-        right = _materialize_right(resolve_join(jtable))
         prefix = f"{jalias or jtable}."
         bind_joins.append(({jtable, jalias} - {None}, prefix, right.column_names))
-        extra_joins.append(
+        # a chained join has no RIGHT form
+        hows = ("left", "cross") if specs else ("left", "right", "cross")
+        specs.append(
             JoinSpec(
                 right=right,
                 left_key=jleft,
                 right_key=jright,
-                how=jhow if jhow in ("left", "cross") else "inner",
+                how=jhow if jhow in hows else "inner",
                 right_prefix=prefix,
             )
         )
-
-    left_names_cache: list = []
-
-    def left_names() -> list:
-        if not left_names_cache:
-            try:
-                sch = left_ds.schema()
-                left_names_cache.append(list(sch.names))
-            except Exception:
-                left_names_cache.append([])
-        return left_names_cache[0]
 
     def bind(c: Col) -> Expr:
         n = c.name
@@ -230,7 +209,9 @@ def _bind_dataset_query(
     def bind_expr(e: Optional[Expr]) -> Optional[Expr]:
         return None if e is None else _rewrite_cols(e, bind)
 
-    return _rebind_plan(q.plan, bind_expr, join, extra_joins)
+    return _rebind_plan(
+        q.plan, bind_expr, specs[0] if specs else None, specs[1:]
+    )
 
 
 def _plan_exprs(plan) -> list:
@@ -550,30 +531,107 @@ def _finish_set_query(parts: list, stmt: SetQuery) -> "ray.data.Dataset":
     return ds
 
 
+@dataclasses.dataclass(eq=False)
+class _TextTable:
+    """A catalog ``TableDef`` over raw text, as ``Tables`` binds it for
+    one call: FROM reads ``t::'file'``, else ``source``; a join side
+    reads ``t::'file'``, else ``join_source``."""
+
+    tdef: TableDef
+    source: Optional[Source]
+    join_source: Optional[Source]
+    text_col: str
+
+    def columns(self) -> list:
+        return [c.name for c in self.tdef.columns] + ["input"]
+
+    def parse(self, ds: "ray.data.Dataset", add_input: bool = False):
+        return ds.map_batches(
+            ParseTable(self.tdef, self.text_col, add_input_col=add_input),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+
+    def scan(self, file: Optional[str], add_input: bool) -> "ray.data.Dataset":
+        src = file if file is not None else self.source
+        if src is None:
+            raise SqlError("no input source (pass source= or use FROM t::'file')")
+        return self.parse(Tables._as_dataset(src, self.text_col), add_input)
+
+    def join_side(self, file: Optional[str]) -> pa.Table:
+        src = file if file is not None else self.join_source
+        if src is None:
+            raise SqlError(f"no source for joined table {self.tdef.name!r}")
+        parsed = self.parse(Tables._as_dataset(src, self.text_col))
+        return _materialize_right(parsed, self.tdef.arrow_schema())
+
+
+def _lookup(name: str, env: dict, default):
+    entry = env.get(name, default)
+    if entry is None:
+        raise SqlError(f"unknown table {name!r}")
+    return entry
+
+
+def _schema_names(ds: "ray.data.Dataset") -> list:
+    try:
+        return list(ds.schema().names)
+    except Exception:
+        return []
+
+
+def _join_side(stmt, env: dict, default, name, file, alias, right_key) -> pa.Table:
+    """Materialize one join side of ``stmt`` from its catalog entry."""
+    entry = _lookup(name, env, default)
+    if isinstance(entry, _TextTable):
+        return entry.join_side(file)
+    if isinstance(entry, str):
+        # path-valued side: the broadcast ships only the key + the
+        # columns attributed to this side's own visible name
+        from sqlgrep_ray.sources import read_parquet_clean
+        from sqlgrep_ray.sources.pushdown import join_side_columns
+
+        cols = None
+        if right_key is not None:
+            cols = join_side_columns(entry, stmt, name, alias, right_key)
+        entry = read_parquet_clean(entry, **({"columns": cols} if cols else {}))
+    return _materialize_right(entry)
+
+
+def _bind(stmt: Query, env: dict, default):
+    """(FROM entry, bound plan). Column names come from the catalog or
+    the Parquet footer; only a Dataset entry needs its schema."""
+    entry = _lookup(stmt.table, env, default)
+    if isinstance(entry, _TextTable):
+        names = entry.columns
+    elif isinstance(entry, str):
+        import pyarrow.parquet as pq
+
+        names = lambda: pq.read_schema(entry).names  # noqa: E731
+    else:
+        names = lambda: _schema_names(entry)  # noqa: E731
+    plan = _bind_dataset_query(
+        stmt, names, lambda *side: _join_side(stmt, env, default, *side)
+    )
+    return entry, plan
+
+
+def _reads_input(q: Query, plan) -> bool:
+    """Whether the FROM side must expose the raw line as ``input``."""
+    from sqlgrep_ray.pipelines.runner import referenced_columns
+
+    names = set(referenced_columns(plan) or ())
+    names.update(c for c, _sub, _neg in q.in_subqueries if isinstance(c, str))
+    names.update(cs[0] for cs in q.corr_scalars)
+    return bool(names & {"input", f"{q.table}.input", f"{q.table_alias}.input"})
+
+
 def _run_sql_stmt(stmt, env: dict, default) -> "ray.data.Dataset":
-    """Recursive executor for Query / SetQuery / WithQuery over bound
-    Datasets. ``env`` maps CTE (or caller-supplied table) names to
-    Datasets; ``default`` is the fallback for unknown FROM names (the
-    single-dataset convenience), or None to make them an error."""
-
-    join_col_map: dict = {}
-
-    def resolve(name: str) -> "ray.data.Dataset":
-        ds = env.get(name, default)
-        if ds is None:
-            raise SqlError(f"unknown table {name!r}")
-        if isinstance(ds, str):
-            # path-valued source: clean read, column-pruned for join
-            # sides when attribution succeeded (join_col_map) — the
-            # broadcast ships only the key + referenced columns
-            from sqlgrep_ray.sources import read_parquet_clean
-
-            cols = join_col_map.get(name)
-            return read_parquet_clean(
-                ds, **({"columns": cols} if cols else {})
-            )
-        return ds
-
+    """Recursive executor for Query / SetQuery / WithQuery. ``env`` maps
+    table names to Datasets (CTEs, derived tables, caller Datasets),
+    Parquet paths or ``_TextTable`` catalog entries; ``default`` is the
+    fallback for unknown FROM names (the single-dataset convenience), or
+    None to make them an error."""
     if isinstance(stmt, WithQuery):
         scope = dict(env)
         for name, sub in stmt.ctes:
@@ -588,36 +646,22 @@ def _run_sql_stmt(stmt, env: dict, default) -> "ray.data.Dataset":
         env = dict(env)
         for alias, sub in stmt.derived:
             env[alias] = _run_sql_stmt(sub, env, default)
-    # path-valued JOIN sides: per-table column pruning (key + attributed
-    # references) before the broadcast materialization
-    jsides = []
-    if stmt.join_table is not None:
-        jsides.append((stmt.join_table, stmt.join_alias, stmt.join_right_col))
-    for jt, _jf, ja, _jl, jr, _jh in getattr(stmt, "extra_joins", ()):
-        jsides.append((jt, ja, jr))
-    for jt, ja, jr in jsides:
-        v = env.get(jt, default)
-        if isinstance(v, str) and jr is not None:
-            from sqlgrep_ray.sources.pushdown import join_side_columns
-
-            cols = join_side_columns(v, stmt, jt, ja, jr)
-            if cols:
-                join_col_map[jt] = cols
-    raw_src = env.get(stmt.table, default)
-    if isinstance(raw_src, str):
+    entry, plan = _bind(stmt, env, default)
+    if isinstance(entry, _TextTable):
+        src = entry.scan(stmt.file, _reads_input(stmt, plan))
+    elif isinstance(entry, str):
         # path-valued FROM source: prune at the read — referenced
         # columns only + pushable WHERE atoms as a pyarrow.dataset
         # filter (row-group statistics pruning); the engine re-applies
         # the full WHERE, so pushdown is bandwidth-only
         from sqlgrep_ray.sources.pushdown import scan_parquet_for_query
 
-        src = scan_parquet_for_query(raw_src, stmt)
+        src = scan_parquet_for_query(entry, stmt)
     else:
-        src = resolve(stmt.table)
+        src = entry
     run_sub = lambda s: _run_sql_stmt(s, env, default)  # noqa: E731
     if stmt.in_subqueries or stmt.corr_scalars:
         src = _apply_in_subqueries(src, stmt, run_sub)
-    plan = _bind_dataset_query(stmt, src, resolve)
     if _has_scalar_subs(plan):
         plan = _substitute_scalar_subs(plan, run_sub)
     return run_plan(src, plan)
@@ -739,7 +783,8 @@ class Tables:
 
     # -- execution ---------------------------------------------------------
 
-    def _as_dataset(self, source: Source, text_col: str) -> "ray.data.Dataset":
+    @staticmethod
+    def _as_dataset(source: Source, text_col: str) -> "ray.data.Dataset":
         if isinstance(source, ray.data.Dataset):
             return source
         if isinstance(source, str):
@@ -755,38 +800,11 @@ class Tables:
             pa.table({text_col: pa.array(list(source), pa.string())})
         )
 
-    def _parse_stage(
-        self,
-        ds: "ray.data.Dataset",
-        tdef: TableDef,
-        text_col: str,
-        add_input: bool,
-    ) -> "ray.data.Dataset":
-        return ds.map_batches(
-            ParseTable(tdef, text_col, add_input_col=add_input),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-
-    def _build_join_side(
-        self, q: Query, source: Optional[Source], text_col: str
-    ) -> pa.Table:
-        """Fully materialize the joined table (reference semantics: 'loaded
-        completely in memory', README.md:56 / join.rs:30-79)."""
-        jdef = self[q.join_table]
-        src: Source
-        if q.join_file is not None:
-            src = q.join_file
-        elif source is not None:
-            src = source
-        else:
-            raise SqlError(f"no source for joined table {q.join_table!r}")
-        ds = self._as_dataset(src, text_col)
-        parsed = self._parse_stage(ds, jdef, text_col, add_input=False)
-        batches = list(parsed.iter_batches(batch_format="pyarrow"))
-        if not batches:
-            return jdef.arrow_schema().empty_table()
-        return pa.concat_tables(batches, promote_options="default")
+    def _catalog(self, source, join_source, text_col: str) -> dict:
+        return {
+            name: _TextTable(tdef, source, join_source, text_col)
+            for name, tdef in self._tables.items()
+        }
 
     def compile_query(
         self,
@@ -809,85 +827,14 @@ class Tables:
                 "compile_query takes a single SELECT without subqueries, "
                 "derived tables or multi-join chains; use execute_query"
             )
-        return self._compile_parsed(q, join_source, text_col)
-
-    def _compile_parsed(
-        self,
-        q: Query,
-        join_source: Optional[Source] = None,
-        text_col: str = "text",
-    ):
-        tdef = self[q.table]
-        streamed_cols = [c.name for c in tdef.columns]
-
-        plan = q.plan
-        join = None
-        prefix = ""
-        right_cols: list[str] = []
-        if q.join_table is not None:
-            right = self._build_join_side(q, join_source, text_col)
-            prefix = f"{q.join_alias or q.join_table}."
-            right_cols = right.column_names
-            join = JoinSpec(
-                right=right,
-                left_key=q.join_left_col,
-                right_key=q.join_right_col,
-                how=q.join_how if q.join_how in ("left", "right", "cross") else "inner",
-                right_prefix=prefix,
-            )
-
-        # bind column names: strip own-table qualification; joined columns
-        # become "<join_table>.<col>"; unqualified non-clashing joined names
-        # resolve to the qualified output column (join.rs:142-173)
-        def bind(c: Col) -> Expr:
-            n = c.name
-            if "." in n:
-                t, col = n.split(".", 1)
-                if t == q.table or t == q.table_alias:
-                    return Col(col)
-                if q.join_table is not None and t in (q.join_table, q.join_alias):
-                    return Col(prefix + col)
-                return c
-            if (
-                q.join_table is not None
-                and n not in streamed_cols
-                and n != "input"
-                and n in right_cols
-            ):
-                return Col(prefix + n)
-            return c
-
-        def bind_expr(e: Optional[Expr]) -> Optional[Expr]:
-            return None if e is None else _rewrite_cols(e, bind)
-
-        from sqlgrep_ray.sqlfront import _children
-
-        needs_input = False
-
-        def scan_input(e: Optional[Expr]) -> None:
-            nonlocal needs_input
-            if e is None:
-                return
-            if isinstance(e, Col) and e.name == "input":
-                needs_input = True
-            for child in _children(e):
-                scan_input(child)
-
-        if isinstance(plan, SelectPlan) and plan.projections is not None:
-            for p in plan.projections:
-                scan_input(p.expr)
-        plan = _rebind_plan(plan, bind_expr, join)
-
-        def run(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-            parsed = self._parse_stage(ds, tdef, text_col, add_input=needs_input)
-            return run_plan(parsed, plan)
+        entry, plan = _bind(q, self._catalog(source, join_source, text_col), None)
+        parse = functools.partial(entry.parse, add_input=_reads_input(q, plan))
+        run = lambda ds: run_plan(parse(ds), plan)  # noqa: E731
 
         # expose the BOUND plan and parse stage for callers that need the
         # pieces (CLI follow mode re-renders aggregates from partials)
         run.plan = plan  # type: ignore[attr-defined]
-        run.parse = lambda ds: self._parse_stage(  # type: ignore[attr-defined]
-            ds, tdef, text_col, add_input=needs_input
-        )
+        run.parse = parse  # type: ignore[attr-defined]
         return q, run
 
     def execute_query(
@@ -898,112 +845,9 @@ class Tables:
         text_col: str = "text",
     ) -> "ray.data.Dataset":
         """SQL → lazy Ray Data pipeline over the raw-text source."""
-        stmt = parse_query(sql)
-        if (
-            not isinstance(stmt, Query)
-            or stmt.in_subqueries
-            or stmt.corr_scalars
-            or stmt.derived
-            or stmt.extra_joins
-            or _has_scalar_subs(stmt.plan)
-        ):
-            return self._execute_multi(stmt, source, join_source, text_col)
-        q, run = self._compile_parsed(stmt, join_source, text_col)
-        src = q.file if q.file is not None else source
-        if src is None:
-            raise SqlError("no input source (pass source= or use FROM t::'file')")
-        return run(self._as_dataset(src, text_col))
-
-    def _execute_multi(
-        self,
-        stmt: Union[SetQuery, WithQuery],
-        source: Optional[Source],
-        join_source: Optional[Source],
-        text_col: str,
-    ) -> "ray.data.Dataset":
-        """WITH / UNION over the raw-text surface. A member whose FROM
-        names a defined table gets the usual parse stage; a member whose
-        FROM names an earlier CTE runs its plan directly over that CTE's
-        (already structured) Dataset. A join side resolves to a CTE first,
-        then to a defined table (materialized via the parse stage)."""
-        env: dict[str, "ray.data.Dataset"] = {}
-
-        def resolve_join(name: str) -> "ray.data.Dataset":
-            if name in env:
-                return env[name]
-            jdef = self[name]
-            src = join_source if join_source is not None else source
-            if src is None:
-                raise SqlError(f"no source for joined table {name!r}")
-            return self._parse_stage(
-                self._as_dataset(src, text_col), jdef, text_col, add_input=False
-            )
-
-        def run_member(m) -> "ray.data.Dataset":
-            if isinstance(m, SetQuery):
-                parts = [run_member(x) for x in m.queries]
-                return _finish_set_query(parts, m)
-            if getattr(m, "derived", ()):
-                # derived tables bind like member-scoped CTEs: evaluate
-                # each subquery, shadow the alias for this member only
-                saved = dict(env)
-                try:
-                    for alias, dsub in m.derived:
-                        env[alias] = run_member(dsub)
-                    return run_member(
-                        dataclasses.replace(m, derived=())
-                    )
-                finally:
-                    env.clear()
-                    env.update(saved)
-            if m.table in env:
-                parsed = env[m.table]
-                if m.in_subqueries or m.corr_scalars:
-                    parsed = _apply_in_subqueries(parsed, m, run_member)
-                plan = _bind_dataset_query(m, parsed, resolve_join)
-                if _has_scalar_subs(plan):
-                    plan = _substitute_scalar_subs(plan, run_member)
-                return run_plan(parsed, plan)
-            if m.in_subqueries or m.corr_scalars or getattr(
-                m, "extra_joins", ()
-            ) or (
-                m.join_table is not None and m.join_table in env
-            ):
-                # the FROM stream needs pre-plan stages (subquery
-                # semi-joins and/or a CTE join side): bind by hand
-                tdef = self[m.table]
-                src = m.file if m.file is not None else source
-                if src is None:
-                    raise SqlError(
-                        "no input source (pass source= or use FROM t::'file')"
-                    )
-                parsed = self._parse_stage(
-                    self._as_dataset(src, text_col), tdef, text_col, False
-                )
-                if m.in_subqueries or m.corr_scalars:
-                    parsed = _apply_in_subqueries(parsed, m, run_member)
-                plan = _bind_dataset_query(m, parsed, resolve_join)
-                if _has_scalar_subs(plan):
-                    plan = _substitute_scalar_subs(plan, run_member)
-                return run_plan(parsed, plan)
-            _, run = self._compile_parsed(m, join_source, text_col)
-            src = m.file if m.file is not None else source
-            if src is None:
-                raise SqlError(
-                    "no input source (pass source= or use FROM t::'file')"
-                )
-            raw = self._as_dataset(src, text_col)
-            plan = run.plan
-            if _has_scalar_subs(plan):
-                plan = _substitute_scalar_subs(plan, run_member)
-                return run_plan(run.parse(raw), plan)
-            return run(raw)
-
-        if isinstance(stmt, WithQuery):
-            for name, sub in stmt.ctes:
-                env[name] = run_member(sub)
-            return run_member(stmt.body)
-        return run_member(stmt)
+        return _run_sql_stmt(
+            parse_query(sql), self._catalog(source, join_source, text_col), None
+        )
 
     def execute_query_rows(
         self,
@@ -1035,6 +879,16 @@ class Tables:
             raise SqlError("no input source (pass source= or use FROM t::'file')")
         return run(self._as_dataset(src, text_col))
 
+    @staticmethod
+    def _deliver(ds: "ray.data.Dataset", callback, batch_size) -> int:
+        delivered = 0
+        for batch in ds.iter_batches(batch_size=batch_size, batch_format="pyarrow"):
+            rows = batch.to_pylist()
+            delivered += len(rows)
+            if callback(rows) is False:
+                break
+        return delivered
+
     def execute_compiled_query_callback(
         self,
         compiled,
@@ -1045,14 +899,11 @@ class Tables:
     ) -> int:
         """Compiled variant of :meth:`execute_query_callback` (reference
         ``python_wrapper.rs:102-110``)."""
-        ds = self.execute_compiled_query(compiled, source, text_col)
-        delivered = 0
-        for batch in ds.iter_batches(batch_size=batch_size, batch_format="pyarrow"):
-            rows = batch.to_pylist()
-            delivered += len(rows)
-            if callback(rows) is False:
-                break
-        return delivered
+        return self._deliver(
+            self.execute_compiled_query(compiled, source, text_col),
+            callback,
+            batch_size,
+        )
 
     def execute_query_callback(
         self,
@@ -1069,11 +920,8 @@ class Tables:
         Ray's streaming executor then stops feeding the iterator, so
         upstream work past the already-scheduled blocks is never done.
         Returns the number of rows delivered."""
-        ds = self.execute_query(sql, source, join_source, text_col)
-        delivered = 0
-        for batch in ds.iter_batches(batch_size=batch_size, batch_format="pyarrow"):
-            rows = batch.to_pylist()
-            delivered += len(rows)
-            if callback(rows) is False:
-                break
-        return delivered
+        return self._deliver(
+            self.execute_query(sql, source, join_source, text_col),
+            callback,
+            batch_size,
+        )

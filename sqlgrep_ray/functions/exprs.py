@@ -214,6 +214,19 @@ def compile_expr(expr: Expr, ctx: Optional[CompileCtx] = None) -> Kernel:
             return k_cmp
 
         if op in ("is", "is_not"):
+            # IS [NOT] NULL needs no equality kernel (lists have none)
+            nk = (
+                lk if isinstance(expr.right, Lit) and expr.right.value is None
+                else rk if isinstance(expr.left, Lit) and expr.left.value is None
+                else None
+            )
+            if nk is not None:
+
+                def k_is_null(t: pa.Table) -> Any:
+                    res = pc.is_null(nk(t))
+                    return pc.invert(res) if op == "is_not" else res
+
+                return k_is_null
 
             def k_is(t: pa.Table) -> Any:
                 l, r = _coerce_cmp_pair(lk(t), rk(t))

@@ -180,7 +180,8 @@ def scan_parquet_for_query(path: str, q) -> "object":
         and not q.in_subqueries
         and not q.corr_scalars
     ):
-        schema_names = set(pq.read_schema(path).names)
+        file_names = pq.read_schema(path).names
+        schema_names = set(file_names)
 
         def strip(n: str) -> str:
             for t in (q.table, q.table_alias):
@@ -190,7 +191,9 @@ def scan_parquet_for_query(path: str, q) -> "object":
 
         needed = referenced_columns(plan)
         if needed is not None:
-            cols = sorted({strip(n) for n in needed})
+            # a zero-column read yields zero rows (COUNT(*) would see
+            # none): read the first column instead
+            cols = sorted({strip(n) for n in needed}) or file_names[:1]
             # a referenced name missing from the file should fail inside
             # the engine with its normal error, not at the scan
             if all(c in schema_names for c in cols):
