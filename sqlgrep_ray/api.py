@@ -613,6 +613,20 @@ def _bind(stmt: Query, env: dict, default):
     plan = _bind_dataset_query(
         stmt, names, lambda *side: _join_side(stmt, env, default, *side)
     )
+    if (
+        isinstance(entry, _TextTable)
+        and getattr(plan, "projections", ()) is None
+        and _reads_input(stmt, plan)
+    ):
+        # a wildcard that reads the raw line: spell the star out, so
+        # ``input`` filters but does not show
+        cols = [c.name for c in entry.tdef.columns]
+        for j in (plan.join, *plan.extra_joins):
+            if j is not None:
+                cols += [j.right_prefix + n for n in j.right.column_names]
+        plan = dataclasses.replace(
+            plan, projections=tuple(Projection(c, Col(c)) for c in cols)
+        )
     return entry, plan
 
 
@@ -620,7 +634,10 @@ def _reads_input(q: Query, plan) -> bool:
     """Whether the FROM side must expose the raw line as ``input``."""
     from sqlgrep_ray.pipelines.runner import referenced_columns
 
-    names = set(referenced_columns(plan) or ())
+    ref = referenced_columns(plan)
+    if ref is None:  # wildcard: the star names no column, WHERE may
+        ref = referenced_columns(dataclasses.replace(plan, projections=()))
+    names = set(ref)
     names.update(c for c, _sub, _neg in q.in_subqueries if isinstance(c, str))
     names.update(cs[0] for cs in q.corr_scalars)
     return bool(names & {"input", f"{q.table}.input", f"{q.table_alias}.input"})
@@ -822,6 +839,7 @@ class Tables:
             or q.corr_scalars
             or q.derived
             or q.extra_joins
+            or _has_scalar_subs(q.plan)
         ):
             raise SqlError(
                 "compile_query takes a single SELECT without subqueries, "

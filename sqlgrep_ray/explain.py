@@ -7,7 +7,10 @@ keyword on the CLI/REPL. The physical annotations mirror the actual
 dispatch logic in ``pipelines/runner.py`` (cited per line) so the output
 stays honest about shuffles: each window frame = one bucket exchange,
 broadcast joins = zero exchanges, holistic aggregates = one hash
-shuffle + map_groups, two-stage COUNT(DISTINCT) = two bounded shuffles.
+shuffle + map_groups. Associative aggregates, two-stage COUNT(DISTINCT)
+and SELECT DISTINCT name the runner's merge gate: a driver merge when the
+per-block partials are at most ``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows,
+else one hash shuffle per merge (two for two-stage COUNT(DISTINCT)).
 """
 
 from __future__ import annotations
@@ -180,7 +183,8 @@ def _explain_plan(plan, out: list, indent: str) -> None:
             out.append(f"{pad}  project: {cols}")
         if plan.distinct:
             out.append(
-                f"{pad}  distinct: combiner-first hash dedup (one shuffle)"
+                f"{pad}  distinct: combiner-first hash dedup "
+                f"({_merge_gate(plan, 'one shuffle')})"
             )
     else:
         assert isinstance(plan, AggregatePlan)
@@ -196,7 +200,8 @@ def _explain_plan(plan, out: list, indent: str) -> None:
         ):
             path = (
                 "skew-safe TWO-STAGE distinct (group by (keys, value) "
-                "combiner → group by keys; two bounded shuffles)"
+                "combiner → group by keys; "
+                f"{_merge_gate(plan, 'two bounded shuffles')})"
             )
         elif holi:
             path = "HOLISTIC map_groups (whole group per worker, one shuffle)"
@@ -206,8 +211,8 @@ def _explain_plan(plan, out: list, indent: str) -> None:
             path = "HLL++ sketch partials (bounded bytes, one small shuffle)"
         else:
             path = (
-                "ASSOCIATIVE combiner-first (per-block partials → one "
-                "bounded hash shuffle)"
+                "ASSOCIATIVE combiner-first (per-block partials → "
+                f"{_merge_gate(plan, 'one bounded hash shuffle')})"
             )
         out.append(f"{pad}  aggregate: keys [{keys}] aggs [{aggs}]")
         out.append(f"{pad}    path: {path}")
@@ -268,6 +273,19 @@ def explain_statement(stmt, out: Optional[list] = None, indent: str = "") -> str
     else:
         lines.append(f"{indent}{type(stmt).__name__}")
     return "\n".join(lines)
+
+
+def _merge_gate(plan, exchange: str) -> str:
+    """The merge path ``runner._merge_partials`` picks for ``plan``."""
+    from sqlgrep_ray.pipelines.runner import SMALL_MERGE_MAX_PARTIAL_ROWS
+
+    small = getattr(plan, "small_result", None)
+    if small is None:
+        return (
+            f"driver merge when the partials are ≤ "
+            f"{SMALL_MERGE_MAX_PARTIAL_ROWS:,} rows, else {exchange}"
+        )
+    return "driver merge" if small else exchange
 
 
 def explain_sql(sql: str) -> str:

@@ -722,6 +722,21 @@ def _f_concat(args: list[Kernel], ctx: CompileCtx) -> Kernel:
     return k
 
 
+def _str_to_int64(arr: pa.Array) -> tuple[pa.Array, pa.Array]:
+    """(is integer literal, its exact int64 value) per string: float64
+    holds 53 bits, so such strings must not pass through it. Out-of-range
+    literals give NULL."""
+    s = pc.replace_substring_regex(pc.utf8_trim_whitespace(arr), r"^\+", "")
+    ok = pc.fill_null(pc.match_substring_regex(s, r"^-?[0-9]+$"), False)
+    digits = pc.if_else(ok, s, "0")
+    try:
+        return ok, pc.cast(digits, pa.int64())
+    except pa.ArrowInvalid:  # beyond int64: parse one by one
+        lo, hi = -(2**63), 2**63 - 1
+        vals = (int(x) for x in digits.to_pylist())
+        return ok, pa.array([v if lo <= v <= hi else None for v in vals], pa.int64())
+
+
 def _try_cast_builder(target: str):
     """TRY_CAST(x AS T) — NULL where the conversion fails (ENGINE
     EXTENSION, DuckDB parity). String sources coerce vectorized
@@ -757,9 +772,12 @@ def _try_cast_builder(target: str):
                 rounded = np.where(
                     num >= 0, np.floor(num + 0.5), np.ceil(num - 0.5)
                 )
-                return pa.array(
-                    np.where(nan, 0, rounded).astype(np.int64), mask=nan
+                bad = nan | ~(np.abs(rounded) < 2.0**63)
+                approx = pa.array(
+                    np.where(bad, 0, rounded).astype(np.int64), mask=bad
                 )
+                is_int, exact = _str_to_int64(arr)
+                return pc.if_else(is_int, exact, approx)
             if is_str and target == "timestamp":
                 # format="mixed": per-element inference — without it
                 # pandas≥2 locks the format of the first non-null value

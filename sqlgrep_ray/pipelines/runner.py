@@ -2,21 +2,23 @@
 
 The execution layer replacing the reference's per-line push engine
 (``src/execution_engine.rs:136-175``): everything is expressed as
-``map_batches`` over zero-copy Arrow batches plus at most one
-``groupby`` shuffle; the pipeline stays lazy/streaming until a sink or a
-small result consumption.
+``map_batches`` over zero-copy Arrow batches plus one merge of per-block
+combiner partials; the pipeline stays lazy/streaming until a sink or a
+small result consumption. The merge (``_merge_partials``) runs on the
+driver when the partials are few (``SMALL_MERGE_MAX_PARTIAL_ROWS``), else
+as a ``groupby`` shuffle.
 
 Select path  (select_execution.rs:21-57):
     [join] → where-filter → project → [distinct] → [limit]
 Aggregate path (aggregate_execution.rs):
     [join (OUTER downgraded to INNER, execution_engine.rs:227-244)]
-    → where-filter → partial-agg combiner → groupby shuffle → finalize
-    → having → [distinct] → sort(group keys) → [limit]
+    → where-filter → partial-agg combiner → merge → finalize
+    → having → sort(group keys) → [limit]
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -44,11 +46,11 @@ from sqlgrep_ray.stages.aggregate import (
     FinalizeAggregates,
     GroupEvaluator,
     HolisticGroupAgg,
-    LocalMergeFinalize,
     PartialAggregator,
-    _merge_aggs,
+    _chunk,
     apply_transforms,
     is_holistic,
+    merge_spec,
 )
 from sqlgrep_ray.stages.enrich import BroadcastJoiner
 
@@ -326,9 +328,7 @@ def _marker(i: int) -> str:
 def _encode_keys(key_names: list[str]):
     def fn(t: pa.Table) -> pa.Table:
         for i, k in enumerate(key_names):
-            col = t[k]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
+            col = _chunk(t[k])
             mark = pc.invert(pc.is_null(col)).cast(pa.int8())
             d = _null_default(col.type)
             if d is not None:
@@ -343,12 +343,8 @@ def _encode_keys(key_names: list[str]):
 def _restore_keys(key_names: list[str]):
     def fn(t: pa.Table) -> pa.Table:
         for i, k in enumerate(key_names):
-            mark = t[_marker(i)]
-            if isinstance(mark, pa.ChunkedArray):
-                mark = mark.combine_chunks()
-            col = t[k]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
+            mark = _chunk(t[_marker(i)])
+            col = _chunk(t[k])
             col = pc.if_else(pc.equal(mark, 0), pa.scalar(None, col.type), col)
             t = t.set_column(t.column_names.index(k), k, col)
         return t.drop_columns([_marker(i) for i in range(len(key_names))])
@@ -388,34 +384,102 @@ def _fix_null_type_cols(t: pa.Table, target_types: dict) -> pa.Table:
     return t
 
 
-def _distinct(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Exact dedup: hash-partition by the full row, keep one per group
-    (SURVEY.md §2.8; the reference's first-seen order is not reproducible on
-    unordered blocks — result SET equality is the contract)."""
-    from ray.data.aggregate import Count
+def _group_merge(t: pa.Table, keys: list[str], spec: list) -> pa.Table:
+    """One ``pa.TableGroupBy`` merge of ``t`` on ``keys`` with ``spec``
+    [(column, "sum" | "min" | "max")], outputs named as their inputs."""
+    out = pa.TableGroupBy(t, keys).aggregate(spec)
+    renames = {f"{c}_{kind}": c for c, kind in spec}
+    return out.rename_columns([renames.get(c, c) for c in out.column_names])
 
+
+def _merge_partials(
+    partials: "ray.data.Dataset",
+    keys: list[str],
+    spec: list,
+    small: Optional[bool],
+) -> "pa.Table | ray.data.Dataset":
+    """Merge per-block combiner partials on their null-encoded ``keys``
+    (``spec`` as in :func:`_group_merge`) — the engine's one merge gate.
+
+    With ``small`` True, or None and at most SMALL_MERGE_MAX_PARTIAL_ROWS
+    partial rows, the partials come to the driver and merge in one
+    ``pa.TableGroupBy``; the result is a ``pa.Table``. Otherwise one Ray
+    hash-aggregate exchange merges them; the result is a Dataset. Ray's
+    all-to-all costs seconds of fixed overhead even on a few hundred rows
+    (1.4 s of the 3 s flagship aggregate, measured) against one
+    object-store read here. Zero input blocks return the empty partials:
+    zero output rows (reference parity — the global group appears on the
+    first row, SURVEY §2.6)."""
+    if small is None:
+        # the partials are the merge input either way: materialize them
+        # once and gate on their real row count (metadata-only)
+        partials = partials.materialize()
+        small = partials.count() <= SMALL_MERGE_MAX_PARTIAL_ROWS
+    if small:
+        batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
+        if not batches:
+            return partials
+        return _group_merge(
+            pa.concat_tables(batches, promote_options="default"), keys, spec
+        )
+    from ray.data.aggregate import Count, Max, Min, Sum
+
+    aggs = [
+        {"sum": Sum, "min": Min, "max": Max}[kind](c, alias_name=c, ignore_nulls=True)
+        for c, kind in spec
+    ]
+    if aggs:
+        return partials.groupby(keys).aggregate(*aggs)
+    # Ray's groupby needs one aggregate: a throwaway row count
+    return partials.groupby(keys).aggregate(Count(alias_name="__rows")).map_batches(
+        lambda t: t.drop_columns(["__rows"]), batch_format="pyarrow"
+    )
+
+
+def _finish_groups(
+    merged: "pa.Table | ray.data.Dataset",
+    finish,
+    key_names: list[str],
+    sort: bool = True,
+) -> "ray.data.Dataset":
+    """Finish :func:`_merge_partials` output where it lies: ``finish``
+    (finalize, HAVING — per-block safe), then the ascending sort on the
+    (marker, filled key) pairs — NULL keys first, the reference's BTreeMap
+    order (SURVEY §2.6) — then the NULL keys restored. A driver-merged
+    table is finished on the driver, so it runs no Sort operator."""
+    keys = _interleaved(key_names) if sort else []
+    restore = _restore_keys(key_names)
+    if isinstance(merged, pa.Table):
+        t = finish(merged) if finish is not None else merged
+        if keys:
+            t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
+        return ray.data.from_arrow(restore(t))
+    if finish is not None:
+        merged = merged.map_batches(finish, batch_format="pyarrow")
+    if keys:
+        merged = merged.sort(keys)
+    return merged.map_batches(restore, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _distinct(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """Exact dedup: per-block dedup, then one merge keyed on the full
+    (null-encoded) row (SURVEY.md §2.8; the reference's first-seen order is
+    not reproducible on unordered blocks — result SET equality is the
+    contract)."""
     schema = ds.schema(fetch_if_missing=True)
     if schema is None:  # zero-block input: nothing to dedup
         return ds
     cols = schema.names
     types = _schema_types(schema)
-    enc, res = _encode_keys(cols), _restore_keys(cols)
+    enc = _encode_keys(cols)
 
-    # per-block pre-dedup (combiner) then ONE vectorized hash-aggregate
-    # shuffle keyed on the full (null-encoded) row — a throwaway Count is
-    # the aggregate (Ray groupby needs one); per-group ``map_groups`` would
-    # pay a Python call per distinct row
     def block_dedup(t: pa.Table) -> pa.Table:
         t = enc(_fix_null_type_cols(t, types))
         return t.group_by(t.column_names).aggregate([])
 
     ds = ds.map_batches(block_dedup, batch_format="pyarrow", zero_copy_batch=True)
-    deduped = ds.groupby(_interleaved(cols)).aggregate(Count(alias_name="__c"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        return res(t.drop_columns(["__c"]))
-
-    return deduped.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    merged = _merge_partials(ds, _interleaved(cols), [], None)
+    return _finish_groups(merged, None, cols, sort=False)
 
 
 def run_set_op(
@@ -623,6 +687,14 @@ def _apply_order(
         .sort(sort_cols, descending=sort_desc)
         .map_batches(drop_temp, batch_format="pyarrow", zero_copy_batch=True)
     )
+
+
+def _order_limit(ds, plan, ctx: Optional[CompileCtx]) -> "ray.data.Dataset":
+    """The ORDER BY / LIMIT / OFFSET tail of every plan."""
+    order_by, offset = getattr(plan, "order_by", ()), getattr(plan, "offset", None)
+    ds = _apply_order(ds, order_by, ctx, limit=plan.limit, offset=offset)
+    # the streaming executor stops upstream once LIMIT rows are out
+    return _limit_offset(ds, plan.limit, offset, ordered=bool(order_by))
 
 
 def _limit_offset(ds, limit, offset, ordered):
@@ -861,15 +933,7 @@ def run_select(
 
     if plan.distinct:
         ds = _distinct(ds)
-    ds = _apply_order(
-        ds, getattr(plan, "order_by", ()), ctx, limit=plan.limit,
-        offset=getattr(plan, "offset", None),
-    )
-    ds = _limit_offset(
-        ds, plan.limit, getattr(plan, "offset", None),
-        ordered=bool(getattr(plan, "order_by", ())),
-    )  # streaming executor early-stops upstream
-    return ds
+    return _order_limit(ds, plan, ctx)
 
 
 def _cd_two_stage_eligible(plan: AggregatePlan) -> bool:
@@ -892,25 +956,27 @@ def _count_distinct_two_stage(
     ctx: Optional[CompileCtx],
     key_names: list[str],
     markers: list[str],
+    having,
 ) -> "ray.data.Dataset":
     """Skew-safe COUNT(DISTINCT) (+ any associative aggregates) — the
     reference's holistic per-group set (``aggregate_execution.rs:143-154``)
-    re-expressed as TWO bounded shuffles instead of shipping whole groups to
+    re-expressed as TWO bounded merges instead of shipping whole groups to
     one worker (SURVEY §2.6; promotes the round-1 ``stages/skew.py`` pattern
     into the planner):
 
     1. group by (keys…, value): per-block ``pa.TableGroupBy`` combiner, one
-       hash shuffle → one row per distinct (keys, value) pair, carrying the
+       merge → one row per distinct (keys, value) pair, carrying the
        merged partials of every associative aggregate (their merge is
        associative, so sub-grouping by value cannot change them);
     2. group by keys: COUNT(DISTINCT) = number of rows whose value marker is
        non-null; associative partials merge once more.
 
-    A hot key's work is now spread over its distinct values instead of one
-    worker holding the whole value set.
+    Stage 1 merges through :func:`_merge_partials`. When it merged on the
+    driver, stage 2, finalize, ``having`` and the key sort run there too,
+    on one table, and no Aggregate or Sort operator runs; otherwise stage 2
+    is a second exchange and a hot key's work is spread over its distinct
+    values instead of one worker holding the whole value set.
     """
-    from ray.data.aggregate import Count, Max, Min, Sum
-
     _DIST = ("count_distinct", "sum_distinct", "avg_distinct")
     cd_items = [a for a in plan.aggs if a.func in _DIST]
     cd_a = cd_items[0]  # all share the same arg (eligibility check)
@@ -929,18 +995,14 @@ def _count_distinct_two_stage(
 
     partials = ds.map_batches(
         PartialAggregator(ext_plan, ctx), batch_format="pyarrow", zero_copy_batch=True
-    )
-    merge1 = _merge_aggs(ext_plan) or [Count(alias_name="__rows")]
-    stage1 = (
-        partials.map_batches(
-            _encode_keys(ext_keys), batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby(_interleaved(ext_keys))
-        .aggregate(*merge1)
+    ).map_batches(_encode_keys(ext_keys), batch_format="pyarrow", zero_copy_batch=True)
+    spec1 = merge_spec(ext_plan)
+    stage1 = _merge_partials(
+        partials, _interleaved(ext_keys), spec1, plan.small_result
     )
 
-    merge_spec = LocalMergeFinalize(ext_plan, ctx).merge_spec
     stage2_keys = _interleaved(key_names) if key_names else [_CONST_KEY]
+    spec2 = spec1 + [("__cd", "sum")] + ([("__cdsum", "sum")] if need_val else [])
 
     def block2(t: pa.Table) -> pa.Table:
         # distinct-value indicator: CDK marker 1 ⇔ non-null value
@@ -948,9 +1010,7 @@ def _count_distinct_two_stage(
         if need_val:
             # the distinct value itself, NULL-masked by its marker so the
             # null-value subgroup contributes to neither sum nor count
-            val = t[CDK]
-            if isinstance(val, pa.ChunkedArray):
-                val = val.combine_chunks()
+            val = _chunk(t[CDK])
             valid = pc.equal(t[cd_marker], 1)
             t = t.append_column(
                 "__cdsum", pc.if_else(valid, val, pa.scalar(None, val.type))
@@ -959,22 +1019,15 @@ def _count_distinct_two_stage(
             t = t.append_column(
                 _CONST_KEY, pa.array(np.zeros(t.num_rows, dtype=np.int8))
             )
-        spec = list(merge_spec) + [("__cd", "sum")]
-        if need_val:
-            spec.append(("__cdsum", "sum"))
-        gb = pa.TableGroupBy(t, stage2_keys)
-        out = gb.aggregate(spec)
-        renames = {f"{p}_{k}": p for p, k in spec}
-        return out.rename_columns([renames.get(c, c) for c in out.column_names])
+        return _group_merge(t, stage2_keys, spec2)
 
-    combined = stage1.map_batches(block2, batch_format="pyarrow", zero_copy_batch=True)
-    aggs2: list[Any] = [Sum("__cd", alias_name="__cd", ignore_nulls=True)]
-    if need_val:
-        aggs2.append(Sum("__cdsum", alias_name="__cdsum", ignore_nulls=True))
-    for pcol, kind2 in merge_spec:
-        cls = {"sum": Sum, "min": Min, "max": Max}[kind2]
-        aggs2.append(cls(pcol, alias_name=pcol, ignore_nulls=True))
-    merged2 = combined.groupby(stage2_keys).aggregate(*aggs2)
+    if isinstance(stage1, pa.Table):
+        merged2 = block2(stage1)  # over the whole table: the final merge
+    else:
+        merged2 = _merge_partials(
+            stage1.map_batches(block2, batch_format="pyarrow", zero_copy_batch=True),
+            stage2_keys, spec2, False,
+        )
 
     passthrough = [*markers, "__cd"] + (["__cdsum"] if need_val else [])
     fin = FinalizeAggregates(fin_plan, ctx, passthrough=passthrough)
@@ -982,15 +1035,11 @@ def _count_distinct_two_stage(
 
     def final(t: pa.Table) -> pa.Table:
         out = fin(t)
-        cd = out["__cd"]
-        if isinstance(cd, pa.ChunkedArray):
-            cd = cd.combine_chunks()
+        cd = _chunk(out["__cd"])
         drop = ["__cd"] + (["__cdsum"] if need_val else [])
         cdsum = None
         if need_val:
-            cdsum = out["__cdsum"]
-            if isinstance(cdsum, pa.ChunkedArray):
-                cdsum = cdsum.combine_chunks()
+            cdsum = _chunk(out["__cdsum"])
             if pa.types.is_integer(cdsum.type):
                 cdsum = cdsum.cast(pa.int64())
         out = out.drop_columns(drop)
@@ -1015,11 +1064,9 @@ def _count_distinct_two_stage(
                     )
         out = apply_transforms(out, cd_only, ctx)
         order = key_names + [a.name for a in plan.aggs] + markers
-        if not key_names and _CONST_KEY in out.column_names:
-            out = out.drop_columns([_CONST_KEY])
-        return out.select([c for c in order if c in out.column_names])
+        return having(out.select([c for c in order if c in out.column_names]))
 
-    return merged2.map_batches(final, batch_format="pyarrow")
+    return _finish_groups(merged2, final, key_names)
 
 
 def _global_percentile(
@@ -1174,15 +1221,7 @@ def _approx_count_distinct_path(
         out = out.repartition(1).map_batches(
             key_sort, batch_format="pyarrow", zero_copy_batch=True
         )
-    out = _apply_order(
-        out, getattr(plan, "order_by", ()), ctx, limit=plan.limit,
-        offset=getattr(plan, "offset", None),
-    )
-    out = _limit_offset(
-        out, plan.limit, getattr(plan, "offset", None),
-        ordered=bool(getattr(plan, "order_by", ())),
-    )
-    return out
+    return _order_limit(out, plan, ctx)
 
 
 def _mode_path(
@@ -1305,15 +1344,7 @@ def _mode_path(
         out = out.repartition(1).map_batches(
             key_sort, batch_format="pyarrow", zero_copy_batch=True
         )
-    out = _apply_order(
-        out, getattr(plan, "order_by", ()), ctx, limit=plan.limit,
-        offset=getattr(plan, "offset", None),
-    )
-    out = _limit_offset(
-        out, plan.limit, getattr(plan, "offset", None),
-        ordered=bool(getattr(plan, "order_by", ())),
-    )
-    return out
+    return _order_limit(out, plan, ctx)
 
 
 def _grouping_sets_path(
@@ -1445,67 +1476,25 @@ def run_aggregate(
     if any(a.func == "mode" for a in plan.aggs):
         return _mode_path(ds, plan, ctx)
 
+    # DISTINCT after aggregation is a no-op: every result row carries its
+    # unique group-key tuple (the reference only dedups in a having-branch
+    # quirk, aggregate_execution.rs:292-310); skipping it keeps the order
+    return _order_limit(_aggregate_groups(ds, plan, ctx), plan, ctx)
+
+
+def _aggregate_groups(
+    ds: "ray.data.Dataset",
+    plan: AggregatePlan,
+    ctx: Optional[CompileCtx],
+) -> "ray.data.Dataset":
+    """Filtered input → finished, HAVING-filtered groups in key order."""
     key_names = [k.name for k in plan.group_by]
-    # NULL group keys: shuffle/sort on (marker, filled-key) pairs, restore
+    # NULL group keys: merge/sort on (marker, filled-key) pairs, restore
     # after the final sort (reference sorts NULL keys first, SURVEY §2.6)
-    enc = _encode_keys(key_names) if key_names else None
+    enc = _encode_keys(key_names)
     gb_keys = _interleaved(key_names) if key_names else [_CONST_KEY]
     markers = [_marker(i) for i in range(len(key_names))]
-
-    small = plan.small_result
-    if not is_holistic(plan):
-        partials = ds.map_batches(
-            PartialAggregator(plan, ctx), batch_format="pyarrow", zero_copy_batch=True
-        )
-        if small is None:
-            # AUTO: the partials (one row per block×key, narrow) are the
-            # merge input either way — materialize them once and decide from
-            # their actual row count whether one merge task is safe. count()
-            # on a materialized dataset is metadata-only.
-            partials = partials.materialize()
-            small = partials.count() <= SMALL_MERGE_MAX_PARTIAL_ROWS
-        ds = partials
-
-    if small and not is_holistic(plan):
-        # combiner-first tree-reduce: per-block partials → ONE bounded
-        # driver-side merge+finalize+having+sort. The ``small`` gate caps
-        # the merge input (≤ SMALL_MERGE_MAX_PARTIAL_ROWS narrow rows =
-        # tens of MB), so pulling the partials beats Ray's Repartition
-        # machinery — measured 1.4 s of fixed all-to-all overhead on the
-        # 3 s flagship aggregate, against one object-store read here.
-        batches = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
-        if batches:
-            merged = LocalMergeFinalize(plan, ctx)(
-                pa.concat_tables(batches, promote_options="default")
-            )
-            agged = ray.data.from_arrow(merged)
-        else:
-            # zero input blocks: zero output rows (reference parity —
-            # the global group appears on the first row, SURVEY §2.6)
-            agged = ds.map_batches(
-                LocalMergeFinalize(plan, ctx), batch_format="pyarrow"
-            )
-        having_only = [a.name for a in plan.aggs if a.name.startswith("__having")]
-        if having_only:
-            agged = agged.map_batches(
-                lambda t: t.drop_columns(
-                    [c for c in having_only if c in t.column_names]
-                ),
-                batch_format="pyarrow",
-            )
-        # DISTINCT on aggregate output is a no-op here: every result row
-        # carries its unique group-key tuple (the reference only dedups in a
-        # having-branch quirk, aggregate_execution.rs:292-310); skipping it
-        # preserves the sorted output order
-        agged = _apply_order(
-            agged, getattr(plan, "order_by", ()), ctx, limit=plan.limit,
-            offset=getattr(plan, "offset", None),
-        )
-        agged = _limit_offset(
-            agged, plan.limit, getattr(plan, "offset", None),
-            ordered=bool(getattr(plan, "order_by", ())),
-        )
-        return agged
+    having = _having_filter(plan, ctx, key_names)
 
     if (
         is_holistic(plan)
@@ -1523,78 +1512,45 @@ def run_aggregate(
         # output rows, reference parity).
         agged = _global_percentile(ds, plan, ctx)
         if agged is not None:
-            agged = _apply_order(
-                agged, getattr(plan, "order_by", ()), ctx,
-                limit=plan.limit, offset=getattr(plan, "offset", None),
-            )
-            agged = _limit_offset(
-                agged, plan.limit, getattr(plan, "offset", None),
-                ordered=bool(getattr(plan, "order_by", ())),
-            )
             return agged
+    if not is_holistic(plan):
+        # combiner-first: per-block partials, one merge (_merge_partials)
+        partials = ds.map_batches(
+            PartialAggregator(plan, ctx), batch_format="pyarrow", zero_copy_batch=True
+        ).map_batches(enc, batch_format="pyarrow", zero_copy_batch=True)
+        merged = _merge_partials(
+            partials, gb_keys, merge_spec(plan), plan.small_result
+        )
+        fin = FinalizeAggregates(plan, ctx, passthrough=markers)
+        return _finish_groups(merged, lambda t: having(fin(t)), key_names)
+    if _cd_two_stage_eligible(plan):
+        return _count_distinct_two_stage(ds, plan, ctx, key_names, markers, having)
+    ds = ds.map_batches(
+        GroupEvaluator(plan, ctx), batch_format="pyarrow", zero_copy_batch=True
+    ).map_batches(enc, batch_format="pyarrow", zero_copy_batch=True)
+    hga = HolisticGroupAgg(plan, ctx)
 
-    if is_holistic(plan) and _cd_two_stage_eligible(plan):
-        agged = _count_distinct_two_stage(ds, plan, ctx, key_names, markers)
-    elif is_holistic(plan):
-        ds = ds.map_batches(
-            GroupEvaluator(plan, ctx), batch_format="pyarrow", zero_copy_batch=True
-        )
-        if enc is not None:
-            ds = ds.map_batches(enc, batch_format="pyarrow", zero_copy_batch=True)
-        hga = HolisticGroupAgg(plan, ctx)
+    def holistic_group(g: pa.Table) -> pa.Table:
+        out = hga(g)
+        for m in markers:  # markers are group-constant; keep for sort
+            out = out.append_column(m, g[m][:1])
+        return out
 
-        def holistic_group(g: pa.Table) -> pa.Table:
-            out = hga(g)
-            for m in markers:  # markers are group-constant; keep for sort
-                out = out.append_column(m, g[m][:1])
-            return out
+    grouped = ds.groupby(gb_keys).map_groups(holistic_group, batch_format="pyarrow")
+    return _finish_groups(grouped, having, key_names)
 
-        agged = ds.groupby(gb_keys).map_groups(holistic_group, batch_format="pyarrow")
-    else:
-        # ds already holds the per-block partials (computed above)
-        if enc is not None:
-            ds = ds.map_batches(enc, batch_format="pyarrow", zero_copy_batch=True)
-        merged = ds.groupby(gb_keys).aggregate(*_merge_aggs(plan))
-        agged = merged.map_batches(
-            FinalizeAggregates(plan, ctx, passthrough=markers),
-            batch_format="pyarrow",
-        )
-        if not key_names:
-            agged = agged.map_batches(
-                lambda t: t.drop_columns([_CONST_KEY])
-                if _CONST_KEY in t.column_names
-                else t,
-                batch_format="pyarrow",
-            )
 
-    if plan.having is not None:
-        pred = compile_predicate(plan.having, ctx)
-        rest = _restore_keys(key_names) if key_names else (lambda t: t)
-        # evaluate on a null-restored view, filter the marker-carrying table
-        agged = agged.map_batches(
-            lambda t: t.filter(pred(rest(t))), batch_format="pyarrow"
-        )
-    # drop having-only aggregate slots
-    having_only = [a.name for a in plan.aggs if a.name.startswith("__having")]
-    if having_only:
-        agged = agged.map_batches(
-            lambda t: t.drop_columns([c for c in having_only if c in t.column_names]),
-            batch_format="pyarrow",
-        )
-    if key_names:
-        # BTreeMap order parity incl. NULL-first (SURVEY §2.6): ascending on
-        # (null-marker, filled key) pairs, then restore the NULLs
-        agged = agged.sort(gb_keys)
-        agged = agged.map_batches(
-            _restore_keys(key_names), batch_format="pyarrow", zero_copy_batch=True
-        )
-    # DISTINCT after aggregation: no-op (unique group keys per row; see above)
-    agged = _apply_order(
-        agged, getattr(plan, "order_by", ()), ctx, limit=plan.limit,
-        offset=getattr(plan, "offset", None),
-    )
-    agged = _limit_offset(
-        agged, plan.limit, getattr(plan, "offset", None),
-        ordered=bool(getattr(plan, "order_by", ())),
-    )
-    return agged
+def _having_filter(plan: AggregatePlan, ctx: Optional[CompileCtx], key_names):
+    """Finished groups → HAVING rows (the predicate sees the NULL-restored
+    keys; the marker-carrying table is filtered), having-only slots
+    dropped."""
+    pred = compile_predicate(plan.having, ctx) if plan.having is not None else None
+    rest = _restore_keys(key_names)
+    hidden = [a.name for a in plan.aggs if a.name.startswith("__having")]
+
+    def fn(t: pa.Table) -> pa.Table:
+        if pred is not None:
+            t = t.filter(pred(rest(t)))
+        return t.drop_columns([c for c in hidden if c in t.column_names])
+
+    return fn

@@ -10,8 +10,10 @@ Rebuild of the reference's in-memory group state machine
      **pre-aggregates inside the block** with ``pyarrow.TableGroupBy`` — the
      map-side combiner, so the all-to-all shuffle only moves
      one-row-per-(block, key) partials, not raw rows;
-  2. ``Dataset.groupby(keys).aggregate(...)`` merges partials (sums of sums,
-     min of mins, …) — the only shuffle;
+  2. the partials merge once (sums of sums, min of mins, …): on the driver
+     in one ``pa.TableGroupBy`` when they are few, else in one
+     ``Dataset.groupby(keys).aggregate(...)`` shuffle
+     (``pipelines/runner._merge_partials``);
   3. a final ``map_batches`` turns merged partials into results
      (``avg = sum/count`` with INTEGER division for int inputs —
      ``aggregate_execution.rs:473-489``; population variance
@@ -250,17 +252,7 @@ class LocalMergeFinalize:
         self.has_keys = bool(plan.group_by)
         self.finalize = FinalizeAggregates(plan, ctx)
         self.ctx = ctx
-        # merge spec over the partial columns (sum of sums, min of mins, …)
-        self.merge_spec: list[tuple[str, str]] = []
-        seen: set[str] = set()
-        for i, a in enumerate(plan.aggs):
-            for col_name, kind in _partial_specs(i, a):
-                pcol = "count_all" if kind == "count_all" else f"{col_name}_{kind}"
-                if pcol in seen:
-                    continue
-                seen.add(pcol)
-                kind2 = "sum" if kind in ("sum", "count", "count_all") else kind
-                self.merge_spec.append((pcol, kind2))
+        self.merge_spec = merge_spec(plan)
 
     def __call__(self, partials: pa.Table) -> pa.Table:
         merged = group_table_null_safe(partials, self.key_names, self.merge_spec)
@@ -285,24 +277,17 @@ class LocalMergeFinalize:
         return out.take(idx)
 
 
-def _merge_aggs(plan: AggregatePlan) -> list[Any]:
-    """Ray-side merge aggregators over the partial columns."""
-    from ray.data.aggregate import Max, Min, Sum
-
-    out: list[Any] = []
+def merge_spec(plan: AggregatePlan) -> list[tuple[str, str]]:
+    """(partial column, "sum" | "min" | "max") pairs that merge the per-block
+    partials of ``plan`` (sum of sums and counts, min of mins, …)."""
+    out: list[tuple[str, str]] = []
     seen: set[str] = set()
     for i, a in enumerate(plan.aggs):
         for col_name, kind in _partial_specs(i, a):
             pcol = "count_all" if kind == "count_all" else f"{col_name}_{kind}"
-            if pcol in seen:
-                continue
-            seen.add(pcol)
-            if kind in ("sum", "count", "count_all"):
-                out.append(Sum(pcol, alias_name=pcol, ignore_nulls=True))
-            elif kind == "min":
-                out.append(Min(pcol, alias_name=pcol, ignore_nulls=True))
-            elif kind == "max":
-                out.append(Max(pcol, alias_name=pcol, ignore_nulls=True))
+            if pcol not in seen:
+                seen.add(pcol)
+                out.append((pcol, "sum" if kind in ("sum", "count", "count_all") else kind))
     return out
 
 
