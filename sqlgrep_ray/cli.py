@@ -206,11 +206,8 @@ def main(argv=None) -> int:
         import ray.data as rd
 
         from sqlgrep_ray.pipelines.plan import AggregatePlan
-        from sqlgrep_ray.pipelines.runner import _apply_join, _apply_where
-        from sqlgrep_ray.stages.aggregate import (
-            LocalMergeFinalize,
-            PartialAggregator,
-        )
+        from sqlgrep_ray.pipelines.runner import GroupMerge, _apply_join, _apply_where
+        from sqlgrep_ray.stages.aggregate import PartialAggregator
 
         in_dir = args.inputs[0]
         fmt = {"text": format_text, "json": format_json, "csv": format_csv}[args.format]
@@ -231,7 +228,7 @@ def main(argv=None) -> int:
         plan = run.plan
         is_agg = isinstance(plan, AggregatePlan)
         partial = PartialAggregator(plan) if is_agg else None
-        finalize = LocalMergeFinalize(plan) if is_agg else None
+        gm = GroupMerge(plan) if is_agg else None
         partials: list[pa.Table] = []
         seen: set[str] = set() if args.head else set(list_files())
         rounds = 0
@@ -246,22 +243,19 @@ def main(argv=None) -> int:
                     tbls = list(
                         pds.map_batches(
                             partial, batch_format="pyarrow", zero_copy_batch=True
+                        ).map_batches(
+                            gm.encode, batch_format="pyarrow", zero_copy_batch=True
                         ).iter_batches(batch_format="pyarrow")
                     )
                     if tbls:
-                        partials.append(
-                            pa.concat_tables(tbls, promote_options="default")
-                        )
-                    snap = finalize(
-                        pa.concat_tables(partials, promote_options="default")
-                    )
-                    snap = snap.drop_columns(
-                        [c for c in snap.column_names if c.startswith("__having")]
-                    )
-                    if plan.limit is not None:
-                        snap = snap.slice(0, plan.limit)
-                    for ln in fmt(snap):
-                        print(ln, flush=True)
+                        # the running state stays one merged partials table
+                        partials = [gm.merge(partials + tbls)]
+                    if partials:
+                        snap = gm.result(partials[0])
+                        if plan.limit is not None:
+                            snap = snap.slice(0, plan.limit)
+                        for ln in fmt(snap):
+                            print(ln, flush=True)
                 else:
                     for ln in fmt(run(read(new))):
                         print(ln, flush=True)

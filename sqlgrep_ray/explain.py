@@ -9,8 +9,8 @@ stays honest about shuffles: each window frame = one bucket exchange,
 broadcast joins = zero exchanges, holistic aggregates = one hash
 shuffle + map_groups. Associative aggregates, two-stage COUNT(DISTINCT)
 and SELECT DISTINCT name the runner's merge gate: a driver merge when the
-per-block partials are at most ``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows,
-else one hash shuffle per merge (two for two-stage COUNT(DISTINCT)).
+per-block partials are at most ``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and
+as many 32-byte rows in size, else one hash shuffle per merge (two for two-stage COUNT(DISTINCT)).
 """
 
 from __future__ import annotations
@@ -283,7 +283,8 @@ def _merge_gate(plan, exchange: str) -> str:
     if small is None:
         return (
             f"driver merge when the partials are ≤ "
-            f"{SMALL_MERGE_MAX_PARTIAL_ROWS:,} rows, else {exchange}"
+            f"{SMALL_MERGE_MAX_PARTIAL_ROWS:,} rows and "
+            f"{32 * SMALL_MERGE_MAX_PARTIAL_ROWS // 10**6} MB, else {exchange}"
         )
     return "driver merge" if small else exchange
 

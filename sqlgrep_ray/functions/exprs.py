@@ -726,15 +726,24 @@ def _str_to_int64(arr: pa.Array) -> tuple[pa.Array, pa.Array]:
     """(is integer literal, its exact int64 value) per string: float64
     holds 53 bits, so such strings must not pass through it. Out-of-range
     literals give NULL."""
-    s = pc.replace_substring_regex(pc.utf8_trim_whitespace(arr), r"^\+", "")
-    ok = pc.fill_null(pc.match_substring_regex(s, r"^-?[0-9]+$"), False)
-    digits = pc.if_else(ok, s, "0")
+    s = pc.utf8_trim_whitespace(arr)
+    ok = pc.fill_null(pc.match_substring_regex(s, r"^[+-]?[0-9]+$"), False)
+    # Arrow's parser takes no leading '+'
+    digits = pc.replace_substring_regex(pc.if_else(ok, s, "0"), r"^\+", "")
     try:
         return ok, pc.cast(digits, pa.int64())
     except pa.ArrowInvalid:  # beyond int64: parse one by one
         lo, hi = -(2**63), 2**63 - 1
-        vals = (int(x) for x in digits.to_pylist())
-        return ok, pa.array([v if lo <= v <= hi else None for v in vals], pa.int64())
+
+        def parse(x: str):
+            # over 19 significant digits is out of range: no int() of it
+            # (CPython refuses strings over 4300 digits)
+            if len(x.lstrip("-").lstrip("0")) > 19:
+                return None
+            v = int(x)
+            return v if lo <= v <= hi else None
+
+        return ok, pa.array([parse(x) for x in digits.to_pylist()], pa.int64())
 
 
 def _try_cast_builder(target: str):

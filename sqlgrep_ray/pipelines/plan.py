@@ -183,17 +183,17 @@ class AggregatePlan:
     # HAVING-only and dropped from the output.
     grouping_cols: tuple = ()
     # Merge-path selection for the per-block partials:
-    #   True  — group-key cardinality is small (sqlgrep's norm): partials are
-    #           coalesced to ONE block and merged/finalized/sorted locally,
+    #   True  — group-key cardinality is small (sqlgrep's norm): partials
+    #           come to the driver and are merged/finalized/sorted there,
     #           skipping two Ray all-to-all stages (each costs ~75 ms/
     #           input-block of fixed overhead);
     #   False — high-cardinality keys: the merge runs as a distributed
     #           ``groupby().aggregate()`` shuffle;
-    #   None (default) — AUTO: the runner materializes the (narrow) partials,
-    #           counts their rows, and picks the single-block merge only when
-    #           the count is under ``runner.SMALL_MERGE_MAX_PARTIAL_ROWS`` —
-    #           the count IS the merge input size, so the single task can
-    #           never be fed an unbounded block.
+    #   None (default) — AUTO: the runner materializes the partials and
+    #           picks the driver merge only when their row count and size
+    #           are within ``runner.SMALL_MERGE_MAX_PARTIAL_ROWS`` narrow
+    #           rows — they ARE the merge input, so the driver can never be
+    #           fed an unbounded table (``runner._merge_partials``).
     small_result: Optional[bool] = None
 
 

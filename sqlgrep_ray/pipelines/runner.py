@@ -56,7 +56,8 @@ from sqlgrep_ray.stages.enrich import BroadcastJoiner
 
 # AUTO merge-path bound (plan.small_result=None): single-block merge only
 # when the combined partial rows fit one task comfortably — 2M narrow rows
-# is tens of MB; beyond that the merge shuffles (groupby) instead.
+# (32 bytes a row: 64 MB) — beyond that, in rows or in bytes, the merge
+# shuffles (groupby) instead.
 SMALL_MERGE_MAX_PARTIAL_ROWS = 2_000_000
 
 
@@ -385,8 +386,17 @@ def _fix_null_type_cols(t: pa.Table, target_types: dict) -> pa.Table:
 
 
 def _group_merge(t: pa.Table, keys: list[str], spec: list) -> pa.Table:
-    """One ``pa.TableGroupBy`` merge of ``t`` on ``keys`` with ``spec``
-    [(column, "sum" | "min" | "max")], outputs named as their inputs."""
+    """One ``pa.TableGroupBy`` merge of ``t`` on its null-encoded ``keys``
+    with ``spec`` [(column, "sum" | "min" | "max")], outputs named as their
+    inputs. A key still NULL here came from a block whose key column was
+    all-NULL and so typed ``null``, which has no fill value; concatenation
+    has typed it since, and it is filled now so that its group does not
+    split from the same NULL key filled in other blocks."""
+    for k in keys:
+        col = t[k]
+        d = _null_default(col.type) if col.null_count else None
+        if d is not None:
+            t = t.set_column(t.column_names.index(k), k, pc.fill_null(col, d))
     out = pa.TableGroupBy(t, keys).aggregate(spec)
     renames = {f"{c}_{kind}": c for c, kind in spec}
     return out.rename_columns([renames.get(c, c) for c in out.column_names])
@@ -402,7 +412,9 @@ def _merge_partials(
     (``spec`` as in :func:`_group_merge`) — the engine's one merge gate.
 
     With ``small`` True, or None and at most SMALL_MERGE_MAX_PARTIAL_ROWS
-    partial rows, the partials come to the driver and merge in one
+    narrow partial rows (no more rows, and no more bytes than that many
+    32-byte rows: wide rows such as SELECT DISTINCT over whole log lines
+    take the exchange), the partials come to the driver and merge in one
     ``pa.TableGroupBy``; the result is a ``pa.Table``. Otherwise one Ray
     hash-aggregate exchange merges them; the result is a Dataset. Ray's
     all-to-all costs seconds of fixed overhead even on a few hundred rows
@@ -412,9 +424,12 @@ def _merge_partials(
     first row, SURVEY §2.6)."""
     if small is None:
         # the partials are the merge input either way: materialize them
-        # once and gate on their real row count (metadata-only)
+        # once and gate on their real row count and size (metadata-only)
         partials = partials.materialize()
-        small = partials.count() <= SMALL_MERGE_MAX_PARTIAL_ROWS
+        small = (
+            partials.count() <= SMALL_MERGE_MAX_PARTIAL_ROWS
+            and partials.size_bytes() <= 32 * SMALL_MERGE_MAX_PARTIAL_ROWS
+        )
     if small:
         batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
         if not batches:
@@ -447,18 +462,54 @@ def _finish_groups(
     (marker, filled key) pairs — NULL keys first, the reference's BTreeMap
     order (SURVEY §2.6) — then the NULL keys restored. A driver-merged
     table is finished on the driver, so it runs no Sort operator."""
+    if isinstance(merged, pa.Table):
+        return ray.data.from_arrow(_finish_table(merged, finish, key_names, sort))
     keys = _interleaved(key_names) if sort else []
     restore = _restore_keys(key_names)
-    if isinstance(merged, pa.Table):
-        t = finish(merged) if finish is not None else merged
-        if keys:
-            t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
-        return ray.data.from_arrow(restore(t))
     if finish is not None:
         merged = merged.map_batches(finish, batch_format="pyarrow")
     if keys:
         merged = merged.sort(keys)
     return merged.map_batches(restore, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _finish_table(
+    merged: pa.Table, finish, key_names: list[str], sort: bool = True
+) -> pa.Table:
+    """:func:`_finish_groups` of a driver-merged table, as a table."""
+    t = finish(merged) if finish is not None else merged
+    if sort and key_names:
+        keys = _interleaved(key_names)
+        t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
+    return _restore_keys(key_names)(t)
+
+
+class GroupMerge:
+    """The merge and finish of an associative ``plan``'s combiner partials,
+    shared by :func:`_aggregate_groups` and follow mode (``cli.py``,
+    ``state/follow.py``), which folds Arrow tables of partials round by
+    round: ``encode`` a partials table (null-encoded keys), ``merge`` a
+    list of them into one table of the same kind (the merge is
+    associative, so it can be folded again), and ``result`` the merged
+    table into the query's finished, HAVING-filtered, key-ordered rows."""
+
+    def __init__(self, plan: AggregatePlan, ctx: Optional[CompileCtx] = None):
+        self.key_names = [k.name for k in plan.group_by]
+        self.encode = _encode_keys(self.key_names)
+        self.keys = _interleaved(self.key_names) or [_CONST_KEY]
+        self.spec = merge_spec(plan)
+        fin = FinalizeAggregates(
+            plan, ctx, passthrough=[_marker(i) for i in range(len(self.key_names))]
+        )
+        having = _having_filter(plan, ctx, self.key_names)
+        self.finish = lambda t: having(fin(t))
+
+    def merge(self, parts: list[pa.Table]) -> pa.Table:
+        t = pa.concat_tables(parts, promote_options="default")
+        return _group_merge(t, self.keys, self.spec)
+
+    def result(self, merged: pa.Table) -> pa.Table:
+        return _finish_table(merged, self.finish, self.key_names)
 
 
 def _distinct(ds: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -1494,7 +1545,6 @@ def _aggregate_groups(
     enc = _encode_keys(key_names)
     gb_keys = _interleaved(key_names) if key_names else [_CONST_KEY]
     markers = [_marker(i) for i in range(len(key_names))]
-    having = _having_filter(plan, ctx, key_names)
 
     if (
         is_holistic(plan)
@@ -1515,14 +1565,13 @@ def _aggregate_groups(
             return agged
     if not is_holistic(plan):
         # combiner-first: per-block partials, one merge (_merge_partials)
+        gm = GroupMerge(plan, ctx)
         partials = ds.map_batches(
             PartialAggregator(plan, ctx), batch_format="pyarrow", zero_copy_batch=True
-        ).map_batches(enc, batch_format="pyarrow", zero_copy_batch=True)
-        merged = _merge_partials(
-            partials, gb_keys, merge_spec(plan), plan.small_result
-        )
-        fin = FinalizeAggregates(plan, ctx, passthrough=markers)
-        return _finish_groups(merged, lambda t: having(fin(t)), key_names)
+        ).map_batches(gm.encode, batch_format="pyarrow", zero_copy_batch=True)
+        merged = _merge_partials(partials, gm.keys, gm.spec, plan.small_result)
+        return _finish_groups(merged, gm.finish, key_names)
+    having = _having_filter(plan, ctx, key_names)
     if _cd_two_stage_eligible(plan):
         return _count_distinct_two_stage(ds, plan, ctx, key_names, markers, having)
     ds = ds.map_batches(

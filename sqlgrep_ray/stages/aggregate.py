@@ -53,7 +53,6 @@ from sqlgrep_ray.functions.exprs import (
     Kernel,
     _as_array,
     compile_expr,
-    compile_predicate,
 )
 from sqlgrep_ray.pipelines.plan import AggItem, AggregatePlan
 
@@ -231,50 +230,6 @@ def _partial_specs(i: int, a: AggItem) -> list[tuple[Any, str]]:
             (f"{v}sq", "sum"), (f"{v}ysq", "sum"), (v, "count"),
         ]
     raise ValueError(f"{f} is not an associative aggregate")
-
-
-class LocalMergeFinalize:
-    """Single-block merge of per-block partials (the ``small_result`` path).
-
-    Input: the union of every block's partial-aggregate rows, coalesced into
-    one block (``repartition(1)``).  Does locally what the distributed path
-    does with two all-to-alls: merge partials per key (``pa.TableGroupBy``),
-    finalize, filter by HAVING, and sort ascending by group key with NULLs
-    FIRST (``pc.sort_indices(null_placement="at_start")`` — reference BTreeMap
-    order, ``Value::Null`` variant 0).  NULL keys go through
-    ``group_table_null_safe`` — pyarrow's raw hash group-by duplicates
-    null-keyed groups for mixed var/fixed-width key lists at scale.
-    """
-
-    def __init__(self, plan: AggregatePlan, ctx: Optional[CompileCtx] = None):
-        self.plan = plan
-        self.key_names = [k.name for k in plan.group_by] or [_CONST_KEY]
-        self.has_keys = bool(plan.group_by)
-        self.finalize = FinalizeAggregates(plan, ctx)
-        self.ctx = ctx
-        self.merge_spec = merge_spec(plan)
-
-    def __call__(self, partials: pa.Table) -> pa.Table:
-        merged = group_table_null_safe(partials, self.key_names, self.merge_spec)
-        # pa names outputs "<pcol>_<kind2>" — rename back to "<pcol>"
-        renames = {f"{pcol}_{kind2}": pcol for pcol, kind2 in self.merge_spec}
-        merged = merged.rename_columns(
-            [renames.get(c, c) for c in merged.column_names]
-        )
-        out = self.finalize(merged)
-        if not self.has_keys:
-            if _CONST_KEY in out.column_names:
-                out = out.drop_columns([_CONST_KEY])
-            return out
-        if self.plan.having is not None:
-            pred = compile_predicate(self.plan.having, self.ctx)
-            out = out.filter(pred(out))
-        idx = pc.sort_indices(
-            out,
-            sort_keys=[(k, "ascending") for k in self.key_names],
-            null_placement="at_start",
-        )
-        return out.take(idx)
 
 
 def merge_spec(plan: AggregatePlan) -> list[tuple[str, str]]:

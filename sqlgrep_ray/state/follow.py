@@ -31,7 +31,8 @@ import pyarrow as pa
 import ray.data
 
 from sqlgrep_ray.pipelines.plan import AggregatePlan
-from sqlgrep_ray.stages.aggregate import LocalMergeFinalize, PartialAggregator
+from sqlgrep_ray.pipelines.runner import GroupMerge
+from sqlgrep_ray.stages.aggregate import PartialAggregator
 from sqlgrep_ray.state.checkpoint import CheckpointedRun, _shard_name
 
 
@@ -70,7 +71,7 @@ class FollowRun:
         self.plan = plan
         self.out_dir = out_dir
         self._partial = PartialAggregator(plan, ctx)
-        self._finalize = LocalMergeFinalize(plan, ctx)
+        self._merge = GroupMerge(plan, ctx)
         self._partials: list[pa.Table] = []
         self._seen_shards: set[str] = set()
 
@@ -98,27 +99,13 @@ class FollowRun:
         ds = ray.data.read_parquet(files)
         partials = ds.map_batches(
             self._partial, batch_format="pyarrow", zero_copy_batch=True
-        )
+        ).map_batches(self._merge.encode, batch_format="pyarrow", zero_copy_batch=True)
         tbls = list(partials.iter_batches(batch_format="pyarrow"))
         if tbls:
-            self._partials.append(pa.concat_tables(tbls, promote_options="default"))
-            self._compact()
-
-    def _compact(self) -> None:
-        """Re-merge the accumulated partials so the running state stays
-        O(|groups|), not O(rounds × groups) — the partial merge is
-        associative (sum of sums, min of mins, …)."""
-        if len(self._partials) <= 1:
-            return
-        merged = pa.concat_tables(self._partials, promote_options="default")
-        from sqlgrep_ray.stages.aggregate import group_table_null_safe
-
-        out = group_table_null_safe(
-            merged, self._finalize.key_names, self._finalize.merge_spec
-        )
-        renames = {f"{p}_{k}": p for p, k in self._finalize.merge_spec}
-        out = out.rename_columns([renames.get(c, c) for c in out.column_names])
-        self._partials = [out]
+            # re-merge the running state with the new partials so it stays
+            # O(|groups|), not O(rounds × groups) — the partial merge is
+            # associative (sum of sums, min of mins, …)
+            self._partials = [self._merge.merge(self._partials + tbls)]
 
     # -- public -------------------------------------------------------------
 
@@ -143,10 +130,7 @@ class FollowRun:
         equals a fresh full run of ``plan`` over everything processed."""
         if not self._partials:
             return pa.table({})
-        merged = pa.concat_tables(self._partials, promote_options="default")
-        # compact the running state so it stays O(|groups|), not O(rounds)
-        out = self._finalize(merged)
-        return out
+        return self._merge.result(self._partials[0])
 
     def follow(
         self,

@@ -113,6 +113,84 @@ def test_small_count_distinct_runs_no_exchange(ray_session, monkeypatch):
     assert "Aggregate" in large and "Sort" in large
 
 
+def test_wide_partials_take_the_exchange(ray_session, monkeypatch):
+    # the gate bounds bytes too: 40 rows fit a bound of 100 rows, but not
+    # its 3,200 bytes
+    import ray.data
+
+    monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 100)
+    wide = pa.table({"s": [f"{i % 20:04d}" + "x" * 200 for i in range(40)]})
+    ds = run_sql("SELECT DISTINCT s FROM t", {"t": ray.data.from_arrow(wide)})
+    ds = ds.materialize()
+    assert "Aggregate" in ds.stats()
+    assert sorted(r["s"] for r in ds.take_all()) == sorted(set(wide["s"].to_pylist()))
+    narrow = ray.data.from_arrow(pa.table({"s": pa.array(range(10))}))
+    ds = run_sql("SELECT DISTINCT s FROM t", {"t": narrow}).materialize()
+    assert "Aggregate" not in ds.stats()
+
+
+def test_null_typed_key_block_joins_the_null_group(ray_session):
+    # a block whose key is all NULL has key type `null`, which the per-block
+    # encoding cannot fill; the driver merge must still put its rows in the
+    # one NULL group
+    import ray.data
+
+    blocks = [
+        pa.table({"k": pa.nulls(3), "v": pa.array([1, 2, 3])}),
+        pa.table({"k": pa.array(["a", None, "b"]), "v": pa.array([4, 5, 6])}),
+    ]
+
+    def rows(sql: str) -> list:
+        return run_sql(sql, {"t": ray.data.from_arrow(blocks)}).take_all()
+
+    assert rows("SELECT k, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY k") == [
+        {"k": None, "n": 4, "s": 11},
+        {"k": "a", "n": 1, "s": 4},
+        {"k": "b", "n": 1, "s": 6},
+    ]
+    assert rows("SELECT k, COUNT(DISTINCT v) AS n FROM t GROUP BY k") == [
+        {"k": None, "n": 4}, {"k": "a", "n": 1}, {"k": "b", "n": 1},
+    ]
+
+
+def test_follow_snapshot_equals_query(ray_session, tmp_path):
+    # follow mode merges and finishes through runner.GroupMerge, as a query
+    # does: NULL keys first, HAVING with and without keys
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from sqlgrep_ray.functions.exprs import Bin, Col, Lit
+    from sqlgrep_ray.pipelines.plan import AggItem, AggregatePlan, GroupKey
+    from sqlgrep_ray.pipelines.runner import run_plan
+    from sqlgrep_ray.state.follow import FollowRun
+
+    aggs = (AggItem("n", "count_star"), AggItem("s", "sum", Col("v")))
+    plans = [
+        AggregatePlan(group_by=(GroupKey("k", Col("k")),), aggs=aggs,
+                      having=Bin("gt", Col("n"), Lit(1))),
+        AggregatePlan(group_by=(), aggs=aggs, having=Bin("gt", Col("n"), Lit(100))),
+        AggregatePlan(group_by=(), aggs=aggs),
+    ]
+    snaps = []
+    for i, plan in enumerate(plans):
+        inp = tmp_path / f"in{i}"
+        inp.mkdir()
+        for j, (a, b) in enumerate([(0, 4), (4, 10)]):
+            pq.write_table(T.slice(a, b - a), str(inp / f"shard-{j}.parquet"))
+        fr = FollowRun(str(inp), str(tmp_path / f"out{i}"), plan)
+        fr.poll_once()
+        pq.write_table(T.slice(0, 3), str(inp / "shard-2.parquet"))
+        snaps.append(fr.poll_once().to_pylist())
+        want = run_plan(ray.data.read_parquet(str(inp)), plan).take_all()
+        assert snaps[-1] == want
+    assert snaps[0] == [
+        {"k": None, "n": 3, "s": 130}, {"k": "a", "n": 5, "s": 120},
+        {"k": "b", "n": 4, "s": 170},
+    ]
+    assert snaps[1] == []
+    assert snaps[2] == [{"n": 13, "s": 510}]
+
+
 @pytest.mark.parametrize(
     "name", ["group_by", "distinct_mixed", "select_distinct"]
 )
@@ -162,9 +240,11 @@ def test_try_cast_int_is_exact(ray_session):
     import ray.data
 
     vals = ["9007199254740993", "-9223372036854775808", "9223372036854775807",
-            "12.5", "x", " +7 ", "-12.5", "99999999999999999999", "1e30"]
+            "12.5", "x", " +7 ", "-12.5", "99999999999999999999", "1e30",
+            "+-5", "1" * 5000, "-0000000000000000000042"]
     ds = ray.data.from_arrow(pa.table({"s": pa.array(vals)}))
     rows = run_sql("SELECT TRY_CAST(s AS INT) AS i FROM t", {"t": ds}).take_all()
     assert [r["i"] for r in rows] == [
         2**53 + 1, -(2**63), 2**63 - 1, 13, None, 7, -13, None, None,
+        None, None, -42,
     ]
