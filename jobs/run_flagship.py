@@ -37,7 +37,13 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--input", required=True, help="transcripts parquet dir")
     ap.add_argument("--out", required=True, help="output root (checkpointed)")
-    ap.add_argument("--files-per-chunk", type=int, default=8)
+    ap.add_argument(
+        "--files-per-chunk",
+        type=int,
+        default=8,
+        help="shards per chunk, the unit of resume; a chunk reads one task "
+        "per shard file, so this is also its parallelism",
+    )
     ap.add_argument("--num-cpus", type=int, default=None)
     ap.add_argument(
         "--max-chunks",

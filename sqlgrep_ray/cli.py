@@ -207,6 +207,7 @@ def main(argv=None) -> int:
 
         from sqlgrep_ray.pipelines.plan import AggregatePlan
         from sqlgrep_ray.pipelines.runner import GroupMerge, _apply_join, _apply_where
+        from sqlgrep_ray.sources import read_shards
         from sqlgrep_ray.stages.aggregate import PartialAggregator
 
         in_dir = args.inputs[0]
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
 
         def read(files: list[str]) -> "rd.Dataset":
             if files[0].endswith(".parquet"):
-                return rd.read_parquet(files, columns=["text"])
+                return read_shards(files, columns=["text"])
             return rd.read_text(files)
 
         q, run = tables.compile_query(sql)

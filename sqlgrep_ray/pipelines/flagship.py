@@ -24,7 +24,6 @@ Every stage is lazy/streaming; nothing materializes the full dataset.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
 import numpy as np
@@ -49,6 +48,7 @@ from sqlgrep_ray.schema import (
 )
 from sqlgrep_ray.stages.enrich import BroadcastJoiner
 from sqlgrep_ray.stages.parse import ParseTable
+from sqlgrep_ray.sources import list_input_shards, read_shards
 from sqlgrep_ray.sources.synth import tool_lookup_table
 
 # ---------------------------------------------------------------------------
@@ -320,22 +320,9 @@ def flagship(
     When ``out_dir`` is given the routed rows are also fanned out to
     per-sink Parquet directories.
     """
-    # block sizing: never MORE blocks than shard files (a SplitBlocks
-    # operator breaks read→map fusion and doubles object-store traffic for
-    # the raw text blocks), but also never more than ~4 tasks per CPU —
-    # at 800 shards, one-block-per-file pays ~3 s of pure task overhead
-    # per stage at 32 CPUs (round-4 block-size sweep in BASELINE.md:
-    # 800 blocks 7.6 s vs 128 blocks 4.6 s for the same pipeline)
-    n_files = len(
-        [f for f in os.listdir(transcripts_dir) if f.endswith(".parquet")]
-    )
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    ds = ray.data.read_parquet(
-        transcripts_dir, override_num_blocks=max(1, min(n_files, cpus * 4))
-    )
+    # one read task per shard file, capped per CPU: the read fuses with
+    # parse → route → enrich (sources.read_shards)
+    ds = read_shards(list_input_shards(transcripts_dir))
     routed = enrich_tools(parse_and_route(ds), lookup)
     if out_dir is not None:
         route_to_sinks(routed, out_dir)

@@ -385,21 +385,45 @@ def _fix_null_type_cols(t: pa.Table, target_types: dict) -> pa.Table:
     return t
 
 
-def _group_merge(t: pa.Table, keys: list[str], spec: list) -> pa.Table:
-    """One ``pa.TableGroupBy`` merge of ``t`` on its null-encoded ``keys``
-    with ``spec`` [(column, "sum" | "min" | "max")], outputs named as their
-    inputs. A key still NULL here came from a block whose key column was
-    all-NULL and so typed ``null``, which has no fill value; concatenation
-    has typed it since, and it is filled now so that its group does not
-    split from the same NULL key filled in other blocks."""
+def _fill_keys(t: pa.Table, keys: list[str]) -> pa.Table:
+    """Fill the NULLs still left in null-encoded ``keys``. They came from a
+    block whose key column was all-NULL and so typed ``null``, which has
+    no fill value; once ``t`` has a real type for it (concatenated with
+    typed blocks, or cast by :func:`_fix_null_type_cols`), they are filled
+    so that their group does not split from the same NULL key filled in
+    other blocks."""
     for k in keys:
         col = t[k]
         d = _null_default(col.type) if col.null_count else None
         if d is not None:
             t = t.set_column(t.column_names.index(k), k, pc.fill_null(col, d))
-    out = pa.TableGroupBy(t, keys).aggregate(spec)
+    return t
+
+
+def _group_merge(t: pa.Table, keys: list[str], spec: list) -> pa.Table:
+    """One ``pa.TableGroupBy`` merge of ``t`` on its null-encoded ``keys``
+    with ``spec`` [(column, "sum" | "min" | "max")], outputs named as their
+    inputs; ``t`` is a concatenation, so its NULL keys are filled first
+    (:func:`_fill_keys`)."""
+    out = pa.TableGroupBy(_fill_keys(t, keys), keys).aggregate(spec)
     renames = {f"{c}_{kind}": c for c, kind in spec}
     return out.rename_columns([renames.get(c, c) for c in out.column_names])
+
+
+def _block_types(ds: "ray.data.Dataset") -> dict:
+    """name → pyarrow type unified over the schemas of every block of a
+    materialized ``ds`` (one small task per block). Ray's own schema names
+    the first block's types, so a column typed ``null`` there (every value
+    NULL in that block) stays ``null`` although other blocks type it."""
+
+    def schema_row(t: pa.Table) -> pa.Table:
+        return pa.table({"s": [t.schema.serialize().to_pybytes()]})
+
+    rows = ds.map_batches(schema_row, batch_format="pyarrow", batch_size=None)
+    schemas = [pa.ipc.read_schema(pa.py_buffer(r["s"])) for r in rows.take_all()]
+    if not schemas:
+        return {}
+    return _schema_types(pa.unify_schemas(schemas, promote_options="permissive"))
 
 
 def _merge_partials(
@@ -416,20 +440,23 @@ def _merge_partials(
     32-byte rows: wide rows such as SELECT DISTINCT over whole log lines
     take the exchange), the partials come to the driver and merge in one
     ``pa.TableGroupBy``; the result is a ``pa.Table``. Otherwise one Ray
-    hash-aggregate exchange merges them; the result is a Dataset. Ray's
+    hash-aggregate exchange merges the materialized partials, after one
+    pass that learns every block's schema (:func:`_block_types`); the
+    result is a Dataset. Ray's
     all-to-all costs seconds of fixed overhead even on a few hundred rows
     (1.4 s of the 3 s flagship aggregate, measured) against one
     object-store read here. Zero input blocks return the empty partials:
     zero output rows (reference parity — the global group appears on the
     first row, SURVEY §2.6)."""
-    if small is None:
+    if not small:
         # the partials are the merge input either way: materialize them
         # once and gate on their real row count and size (metadata-only)
         partials = partials.materialize()
-        small = (
-            partials.count() <= SMALL_MERGE_MAX_PARTIAL_ROWS
-            and partials.size_bytes() <= 32 * SMALL_MERGE_MAX_PARTIAL_ROWS
-        )
+        if small is None:
+            small = (
+                partials.count() <= SMALL_MERGE_MAX_PARTIAL_ROWS
+                and partials.size_bytes() <= 32 * SMALL_MERGE_MAX_PARTIAL_ROWS
+            )
     if small:
         batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
         if not batches:
@@ -437,6 +464,15 @@ def _merge_partials(
         return _group_merge(
             pa.concat_tables(batches, promote_options="default"), keys, spec
         )
+    # the exchange concatenates blocks without the driver's fill: type the
+    # all-NULL (``null``-typed) columns of a block from the other blocks'
+    # schemas and fill their keys first
+    types = _block_types(partials)
+    partials = partials.map_batches(
+        lambda t: _fill_keys(_fix_null_type_cols(t, types), keys),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
     from ray.data.aggregate import Count, Max, Min, Sum
 
     aggs = [
@@ -521,11 +557,12 @@ def _distinct(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     if schema is None:  # zero-block input: nothing to dedup
         return ds
     cols = schema.names
-    types = _schema_types(schema)
     enc = _encode_keys(cols)
 
     def block_dedup(t: pa.Table) -> pa.Table:
-        t = enc(_fix_null_type_cols(t, types))
+        # an all-NULL column keeps its ``null`` type here (Ray's schema
+        # names one block's type, not all of theirs); the merge types it
+        t = enc(t)
         return t.group_by(t.column_names).aggregate([])
 
     ds = ds.map_batches(block_dedup, batch_format="pyarrow", zero_copy_batch=True)

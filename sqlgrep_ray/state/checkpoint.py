@@ -15,7 +15,14 @@ north_rule's per-partition lineage:
 * on resume, chunks with a manifest entry are SKIPPED; a chunk that started
   but never finished gets its partial output directories deleted before
   re-running, making each chunk exactly-once.
-"""
+
+A chunk is read with one read task per shard file
+(:func:`sqlgrep_ray.sources.read_shards`, the rule ``flagship()`` uses),
+so with a pipeline of plain ``map_batches`` functions each shard runs as
+ONE fused task, read → ``shard`` column → pipeline → write, and a pass
+writes one file per (shard, partition) directory. The trade-off: a
+chunk's parallelism is its file count (``files_per_chunk``), capped at 4
+tasks per CPU."""
 
 from __future__ import annotations
 
@@ -29,11 +36,26 @@ from typing import Callable, Optional, Sequence
 import pyarrow as pa
 import ray.data
 
+from sqlgrep_ray.sources import list_input_shards, read_shards
+
 ENGINE_VERSION = "sqlgrep_ray-0.1.0"
 
 
 def _shard_name(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
+
+
+def _add_shard(t: pa.Table) -> pa.Table:
+    """Replace the read's ``path`` column with the ``shard`` name: each
+    chunk of paths is dictionary-encoded, its few distinct paths named,
+    and the names taken by the dictionary indices."""
+    chunks = []
+    for c in t["path"].chunks:
+        d = c.dictionary_encode()
+        names = [_shard_name(p) for p in d.dictionary.to_pylist()]
+        chunks.append(pa.array(names, pa.string()).take(d.indices))
+    shard = pa.chunked_array(chunks, pa.string())
+    return t.drop_columns(["path"]).append_column("shard", shard)
 
 
 @dataclass
@@ -43,14 +65,6 @@ class ChunkResult:
     rows_out: int
     seconds: float
     skipped: bool
-
-
-def list_input_shards(input_dir: str) -> list[str]:
-    return sorted(
-        os.path.join(input_dir, f)
-        for f in os.listdir(input_dir)
-        if f.endswith(".parquet")
-    )
 
 
 class CheckpointedRun:
@@ -155,14 +169,8 @@ class CheckpointedRun:
                 break
             self._clean_partial(files)
             t0 = time.time()
-            ds = ray.data.read_parquet(list(files), include_paths=True)
-
-            def add_shard(t: pa.Table) -> pa.Table:
-                paths = t["path"].to_pylist()
-                shard = pa.array([_shard_name(p) for p in paths], pa.string())
-                return t.drop_columns(["path"]).append_column("shard", shard)
-
-            ds = ds.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True)
+            ds = read_shards(files, include_paths=True)
+            ds = ds.map_batches(_add_shard, batch_format="pyarrow", zero_copy_batch=True)
             out = self.build_pipeline(ds)
             out.write_parquet(
                 self.out_dir,

@@ -32,6 +32,7 @@ import ray.data
 
 from sqlgrep_ray.pipelines.plan import AggregatePlan
 from sqlgrep_ray.pipelines.runner import GroupMerge
+from sqlgrep_ray.sources import read_shards
 from sqlgrep_ray.stages.aggregate import PartialAggregator
 from sqlgrep_ray.state.checkpoint import CheckpointedRun, _shard_name
 
@@ -96,8 +97,7 @@ class FollowRun:
         ]
         if not files:
             return
-        ds = ray.data.read_parquet(files)
-        partials = ds.map_batches(
+        partials = read_shards(files).map_batches(
             self._partial, batch_format="pyarrow", zero_copy_batch=True
         ).map_batches(self._merge.encode, batch_format="pyarrow", zero_copy_batch=True)
         tbls = list(partials.iter_batches(batch_format="pyarrow"))

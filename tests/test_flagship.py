@@ -295,3 +295,62 @@ def test_router_prefilter_equivalence():
         }
     )
     assert canon(on(adv)) == canon(off(adv))
+
+
+def test_checkpoint_chunk_is_one_fused_task_per_shard(ray_session, tmp_path):
+    """A chunk reads one task per shard file, so read → shard → route →
+    enrich → write fuse into one operator (no ``SplitBlocks``) and a pass
+    writes exactly one file per (shard, sink) directory, holding the rows
+    ``parse_and_route`` gives over the same shards."""
+    import ray.data
+
+    from sqlgrep_ray.pipelines.flagship import KEEP_COLS, enrich_tools
+
+    shards = tmp_path / "shards"
+    shards.mkdir()
+    t = generate_transcripts(6000, 5)
+    for i in range(3):
+        pq.write_table(t.slice(i * 2000, 2000), str(shards / f"shard-{i:05d}.parquet"))
+    outs = []
+
+    def build(ds):
+        routed = ds.map_batches(
+            TranscriptRouter(keep_cols=KEEP_COLS + ["shard"]),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+        outs.append(enrich_tools(routed))
+        return outs[-1]
+
+    out = str(tmp_path / "out")
+    run = CheckpointedRun(
+        str(shards), out, build, extra_partition_cols=["sink"], files_per_chunk=2
+    )
+    results = run.run()
+    assert [len(r.files) for r in results] == [2, 1]
+    for ds in outs:
+        stats = ds.stats()
+        assert "SplitBlocks" not in stats
+        assert "ReadParquet->MapBatches(_add_shard)" in stats
+
+    sink_dirs = [
+        (root, [n for n in names if n.endswith(".parquet")])
+        for root, _d, names in os.walk(out)
+        if os.path.basename(root).startswith("sink=")
+    ]
+    assert len(sink_dirs) == 3 * 4  # every shard routes to all four sinks
+    assert all(len(files) == 1 for _root, files in sink_dirs)
+
+    def rows(tbl: pa.Table) -> list:
+        # (conv_id, turn_idx) is unique, so the sort never compares NULLs
+        cols = ["conv_id", "turn_idx", "role", "tool", "sink", "ip", "user",
+                "hour", "device_id", "events"]
+        return sorted(zip(*(tbl[c].to_pylist() for c in cols)))
+
+    written = pq.read_table(out, partitioning="hive")
+    direct = pa.Table.from_pylist(
+        parse_and_route(ray.data.read_parquet(str(shards))).take_all()
+    )
+    assert written.num_rows == direct.num_rows > 0
+    assert rows(written) == rows(direct)
+    assert all(r.skipped for r in run.run())

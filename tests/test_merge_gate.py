@@ -153,6 +153,35 @@ def test_null_typed_key_block_joins_the_null_group(ray_session):
     ]
 
 
+@pytest.mark.parametrize(
+    "path, sql",
+    [
+        ("exchange", "SELECT k, COUNT(*) AS n FROM t GROUP BY k"),
+        ("driver", "SELECT DISTINCT k FROM t"),
+        ("exchange", "SELECT DISTINCT k FROM t"),
+        ("driver", "SELECT DISTINCT k, v FROM t"),
+        ("exchange", "SELECT DISTINCT k, v FROM t"),
+    ],
+)
+def test_null_typed_key_block_on_both_paths(ray_session, monkeypatch, path, sql):
+    # one block types `k` as `null` (every value NULL), the other as string:
+    # both merge paths give the one NULL group / row DuckDB gives (the
+    # driver GROUP BY case is test_null_typed_key_block_joins_the_null_group)
+    import ray.data
+
+    blocks = [
+        pa.table({"k": pa.nulls(3), "v": pa.array([1, 2, 2])}),
+        pa.table({"k": pa.array(["x", None, "y"]), "v": pa.array([4, 5, 6])}),
+    ]
+    if path == "exchange":
+        monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
+    got = run_sql(sql, {"t": ray.data.from_arrow(blocks)}).take_all()
+    con = duckdb.connect()
+    con.register("t", pa.concat_tables(blocks, promote_options="default"))
+    want = con.sql(sql).arrow().to_pylist()
+    assert sorted(got, key=_key) == sorted(want, key=_key)
+
+
 def test_follow_snapshot_equals_query(ray_session, tmp_path):
     # follow mode merges and finishes through runner.GroupMerge, as a query
     # does: NULL keys first, HAVING with and without keys
