@@ -587,14 +587,15 @@ def _join_side(stmt, env: dict, default, name, file, alias, right_key) -> pa.Tab
         return entry.join_side(file)
     if isinstance(entry, str):
         # path-valued side: the broadcast ships only the key + the
-        # columns attributed to this side's own visible name
-        from sqlgrep_ray.sources import read_parquet_clean
+        # columns attributed to this side's own visible name; the side
+        # ends up on the driver, so it is read there, with no Ray job
+        from sqlgrep_ray.sources import read_parquet_table
         from sqlgrep_ray.sources.pushdown import join_side_columns
 
         cols = None
         if right_key is not None:
             cols = join_side_columns(entry, stmt, name, alias, right_key)
-        entry = read_parquet_clean(entry, **({"columns": cols} if cols else {}))
+        return read_parquet_table(entry, cols)
     return _materialize_right(entry)
 
 
@@ -605,9 +606,11 @@ def _bind(stmt: Query, env: dict, default):
     if isinstance(entry, _TextTable):
         names = entry.columns
     elif isinstance(entry, str):
-        import pyarrow.parquet as pq
+        from sqlgrep_ray.sources import parquet_names
 
-        names = lambda: pq.read_schema(entry).names  # noqa: E731
+        def names():
+            file_names, part_names = parquet_names(entry)
+            return file_names + part_names
     else:
         names = lambda: _schema_names(entry)  # noqa: E731
     plan = _bind_dataset_query(
@@ -664,6 +667,7 @@ def _run_sql_stmt(stmt, env: dict, default) -> "ray.data.Dataset":
         for alias, sub in stmt.derived:
             env[alias] = _run_sql_stmt(sub, env, default)
     entry, plan = _bind(stmt, env, default)
+    n_rows = None  # the FROM side's row count, where a footer gives it
     if isinstance(entry, _TextTable):
         src = entry.scan(stmt.file, _reads_input(stmt, plan))
     elif isinstance(entry, str):
@@ -671,9 +675,11 @@ def _run_sql_stmt(stmt, env: dict, default) -> "ray.data.Dataset":
         # columns only + pushable WHERE atoms as a pyarrow.dataset
         # filter (row-group statistics pruning); the engine re-applies
         # the full WHERE, so pushdown is bandwidth-only
+        from sqlgrep_ray.sources import parquet_num_rows
         from sqlgrep_ray.sources.pushdown import scan_parquet_for_query
 
         src = scan_parquet_for_query(entry, stmt)
+        n_rows = parquet_num_rows(entry)
     else:
         src = entry
     run_sub = lambda s: _run_sql_stmt(s, env, default)  # noqa: E731
@@ -681,7 +687,7 @@ def _run_sql_stmt(stmt, env: dict, default) -> "ray.data.Dataset":
         src = _apply_in_subqueries(src, stmt, run_sub)
     if _has_scalar_subs(plan):
         plan = _substitute_scalar_subs(plan, run_sub)
-    return run_plan(src, plan)
+    return run_plan(src, plan, n_rows=n_rows)
 
 
 def run_sql(

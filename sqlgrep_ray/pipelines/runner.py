@@ -147,9 +147,13 @@ def run_plan(
     plan: Plan,
     ctx: Optional[CompileCtx] = None,
     batch_size: Optional[int] = None,
+    n_rows: Optional[int] = None,
 ) -> "ray.data.Dataset":
+    """Run ``plan`` over ``ds``. ``n_rows``, when the caller knows it (a
+    Parquet footer), is the row count of ``ds`` or an upper bound of it;
+    it sizes the window exchange without a counting pass."""
     if isinstance(plan, SelectPlan):
-        return run_select(ds, plan, ctx, batch_size)
+        return run_select(ds, plan, ctx, batch_size, n_rows)
     if isinstance(plan, AggregatePlan):
         return run_aggregate(ds, plan, ctx, batch_size)
     raise TypeError(f"unknown plan {type(plan)}")
@@ -552,21 +556,24 @@ def _distinct(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Exact dedup: per-block dedup, then one merge keyed on the full
     (null-encoded) row (SURVEY.md §2.8; the reference's first-seen order is
     not reproducible on unordered blocks — result SET equality is the
-    contract)."""
-    schema = ds.schema(fetch_if_missing=True)
-    if schema is None:  # zero-block input: nothing to dedup
-        return ds
-    cols = schema.names
-    enc = _encode_keys(cols)
+    contract). Each block encodes its own columns, and the merge keys come
+    from the materialized partials, whose schema costs no execution."""
 
     def block_dedup(t: pa.Table) -> pa.Table:
-        # an all-NULL column keeps its ``null`` type here (Ray's schema
-        # names one block's type, not all of theirs); the merge types it
-        t = enc(t)
+        # an all-NULL column keeps its ``null`` type here (no block knows
+        # the others' types); the merge types it
+        t = _encode_keys(t.column_names)(t)
         return t.group_by(t.column_names).aggregate([])
 
-    ds = ds.map_batches(block_dedup, batch_format="pyarrow", zero_copy_batch=True)
-    merged = _merge_partials(ds, _interleaved(cols), [], None)
+    parts = ds.map_batches(
+        block_dedup, batch_format="pyarrow", zero_copy_batch=True
+    ).materialize()
+    schema = parts.schema()
+    if schema is None:  # zero-block input: nothing to dedup
+        return parts
+    # a partial is the row's columns, then one null marker per column
+    cols = schema.names[: len(schema.names) // 2]
+    merged = _merge_partials(parts, _interleaved(cols), [], None)
     return _finish_groups(merged, None, cols, sort=False)
 
 
@@ -707,16 +714,8 @@ def _apply_order(
         (t[0], t[1], t[2] if len(t) > 2 else None) for t in order_by
     ]
     kernels = [compile_expr(e, ctx) for e, _, _ in entries]
-    # all-NULL (null-typed) block columns — tiny from_items blocks — must
-    # be normalized to the dataset-level type BEFORE key evaluation, or
-    # the sort-key columns get inconsistent types across blocks and Ray's
-    # sort compares raw NULLs; the input is about to be sorted all-to-all
-    # anyway, so one schema fetch is negligible
-    schema = ds.schema(fetch_if_missing=True)
-    in_types = _schema_types(schema) if schema is not None else {}
 
     def add_keys(t: pa.Table) -> pa.Table:
-        t = _fix_null_type_cols(t, in_types)
         for i, k in enumerate(kernels):
             arr = _as_array(k(t), t.num_rows)
             if isinstance(arr, pa.ChunkedArray):
@@ -739,41 +738,59 @@ def _apply_order(
         sort_desc.append(bool(nulls_last))
         sort_cols.append(f"__ob{i}")
         sort_desc.append(bool(desc))
-    temp = [f"__obm{i}" for i in range(len(entries))] + [
-        f"__ob{i}" for i in range(len(entries))
-    ]
     sort_spec = [
         (c, "descending" if d else "ascending")
         for c, d in zip(sort_cols, sort_desc)
     ]
 
-    def drop_temp(t: pa.Table) -> pa.Table:
-        return t.drop_columns([c for c in temp if c in t.column_names])
+    def order(t: pa.Table) -> pa.Array:
+        return pc.sort_indices(add_keys(t), sort_spec)
 
     if limit is not None and (offset or limit <= TOPN_LIMIT_MAX):
+        # No schema fetch: a block whose column is all NULL types it
+        # ``null``, which some key kernels (LENGTH, COALESCE, …) cannot
+        # take. Such a block goes to the merge whole; the one merged
+        # block has every block's type, and its keys are computed afresh.
         eff = limit + offset
 
         def local_topn(t: pa.Table) -> pa.Table:
             if t.num_rows <= eff:
                 return t
-            idx = pc.sort_indices(t, sort_spec)
+            try:
+                idx = order(t)
+            except (pa.ArrowNotImplementedError, pa.ArrowTypeError):
+                if not any(pa.types.is_null(ty) for ty in t.schema.types):
+                    raise
+                return t
             return t.take(idx.slice(0, eff))
 
-        def final_topn(t: pa.Table) -> pa.Table:
-            idx = pc.sort_indices(t, sort_spec)
-            return drop_temp(t.take(idx.slice(offset, limit)))
-
         return (
-            ds.map_batches(add_keys, batch_format="pyarrow", zero_copy_batch=True)
-            .map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
+            ds.map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
             .repartition(1)
-            .map_batches(final_topn, batch_format="pyarrow")
+            .map_batches(
+                lambda t: t.take(order(t).slice(offset, limit)),
+                batch_format="pyarrow",
+            )
         )
 
+    # Ray's sort compares every block against sampled boundaries, so the
+    # keys need one type in every block: type the all-NULL columns from
+    # all the blocks' schemas (:func:`_block_types`), as the exchange
+    # merge does, before the keys are computed
+    ds = ds.materialize()
+    types = _block_types(ds)
     return (
-        ds.map_batches(add_keys, batch_format="pyarrow", zero_copy_batch=True)
+        ds.map_batches(
+            lambda t: add_keys(_fix_null_type_cols(t, types)),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
         .sort(sort_cols, descending=sort_desc)
-        .map_batches(drop_temp, batch_format="pyarrow", zero_copy_batch=True)
+        .map_batches(
+            lambda t: t.drop_columns(sort_cols),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
     )
 
 
@@ -806,8 +823,9 @@ def run_select(
     plan: SelectPlan,
     ctx: Optional[CompileCtx] = None,
     batch_size: Optional[int] = None,
+    n_rows: Optional[int] = None,
 ) -> "ray.data.Dataset":
-    ds_entry = ds  # pre-join/filter input: cheap (often metadata-only)
+    ds_entry = ds  # pre-join/filter input, counted when n_rows is None
     ds = _apply_join(ds, plan.join, force_inner=False)
     for _xj in getattr(plan, "extra_joins", ()):
         ds = _apply_join(ds, _xj, force_inner=False)
@@ -852,12 +870,13 @@ def run_select(
         # every window function sharing a frame computes in a single
         # sorted pass (a 3-function shared-frame query pays 1 exchange,
         # not 3). Bucket count auto-sizes from the ENTRY dataset's row
-        # count — an upper bound (pre-WHERE) that is metadata-free on a
-        # fresh parquet read; more buckets than needed only shrinks tasks.
+        # count — an upper bound (pre-WHERE): the caller's ``n_rows``
+        # (a Parquet path's footers), else one counting pass of the
+        # entry; more buckets than needed only shrinks tasks.
         frames: dict[tuple, list] = {}
         for w in windows:
             frames.setdefault((w.key, w.order), []).append(w)
-        nb = resolve_buckets(None, ds_entry)
+        nb = resolve_buckets(None, ds_entry, n_rows=n_rows)
         gw_added = False
         for (key, order), specs in frames.items():
             if key is None and isinstance(order, str) and all(

@@ -1,6 +1,7 @@
 """Sources and sinks: parquet/text readers, routed parquet fan-out writers,
 and the deterministic synthetic transcripts generator."""
 
+import functools
 import os
 from typing import Any, Optional, Sequence
 
@@ -52,3 +53,70 @@ def read_parquet_clean(paths: Any, **kwargs) -> "ray.data.Dataset":
     return ray.data.read_parquet(paths, **kwargs).map_batches(
         strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True
     )
+
+
+# ---------------------------------------------------------------------------
+# A Parquet path as ``read_parquet`` sees it, answered on the driver: column
+# names, footer row count and (small) whole reads cost a footer read each,
+# where a Ray execution costs ~0.1 s of fixed overhead however small.
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _hive_parser():
+    from ray.data.datasource.partitioning import Partitioning, PathPartitionParser
+
+    return PathPartitionParser(Partitioning("hive"))
+
+
+def _parquet_files(path: str) -> list[tuple[Any, dict]]:
+    """(pyarrow fragment, hive partitions) per file Ray's
+    ``read_parquet(path)`` reads: its path resolution and
+    ``pq.ParquetDataset`` listing with pyarrow's own partitioning off, so
+    hidden ``_``/``.`` entries (a ``_manifest`` directory) are skipped, and
+    Ray's hive parser, which types every partition value as a string."""
+    import pyarrow.parquet as pq
+    from ray.data.datasource.path_util import _resolve_paths_and_filesystem
+
+    paths, fs = _resolve_paths_and_filesystem(path)
+    frags = pq.ParquetDataset(
+        paths[0] if len(paths) == 1 else paths, filesystem=fs, partitioning=None
+    ).fragments
+    return [(f, _hive_parser()(f.path)) for f in frags]
+
+
+def parquet_names(path: str) -> tuple[list[str], list[str]]:
+    """(file columns, hive partition columns) of ``path``, from its first
+    file as Ray infers them."""
+    files = _parquet_files(path)
+    if not files:
+        return [], []
+    frag, parts = files[0]
+    names = frag.physical_schema.names
+    return names, [k for k in parts if k not in names]
+
+
+def parquet_num_rows(path: str) -> int:
+    """Row count of ``path`` from its Parquet footers."""
+    return sum(f.metadata.num_rows for f, _ in _parquet_files(path))
+
+
+def read_parquet_table(path: str, columns: Optional[list] = None) -> pa.Table:
+    """The rows ``read_parquet_clean(path, columns=columns)`` yields, read
+    on the driver with pyarrow: the same files, file columns first, then
+    the hive partition columns as strings, schema metadata stripped. An
+    input whose files are all empty keeps the first file's schema."""
+    files = _parquet_files(path)
+    if not files:
+        return pa.table({})
+    first = files[0][0].physical_schema.names
+    data_cols = None if columns is None else [c for c in columns if c in first]
+    tables = []
+    for frag, parts in files:
+        t = frag.to_table(columns=data_cols)
+        for k, v in parts.items():
+            if k not in t.column_names and (columns is None or k in columns):
+                t = t.append_column(k, pa.array([v] * t.num_rows, pa.string()))
+        tables.append(strip_schema_metadata(t))
+    tables = [t for t in tables if t.num_rows] or tables[:1]
+    return pa.concat_tables(tables, promote_options="default")

@@ -125,9 +125,8 @@ def join_side_columns(path: str, q, jtable: str, jalias, right_key):
     (full read) for wildcard projections or when a qualified reference
     names a column the file lacks (the engine's normal error should
     surface, not a scan error)."""
-    import pyarrow.parquet as pq
-
     from sqlgrep_ray.pipelines.runner import referenced_columns
+    from sqlgrep_ray.sources import parquet_names
 
     refs = list(referenced_columns(q.plan) or ())
     if not refs and q.plan.__class__.__name__ == "SelectPlan" and (
@@ -143,7 +142,8 @@ def join_side_columns(path: str, q, jtable: str, jalias, right_key):
         if jl is None:
             continue
         refs.extend([jl] if isinstance(jl, str) else list(jl))
-    schema_names = set(pq.read_schema(path).names)
+    file_names, part_names = parquet_names(path)
+    schema_names = set(file_names + part_names)
     want = set(
         [right_key] if isinstance(right_key, str) else list(right_key)
     )
@@ -167,10 +167,8 @@ def scan_parquet_for_query(path: str, q) -> "object":
     to a plain clean read when the query shape doesn't allow attribution
     (joins, subquery-lifted conjuncts, wildcard projections push the
     filter but not columns)."""
-    import pyarrow.parquet as pq
-
     from sqlgrep_ray.pipelines.runner import referenced_columns
-    from sqlgrep_ray.sources import read_parquet_clean
+    from sqlgrep_ray.sources import parquet_names, read_parquet_clean
 
     plan = q.plan
     kwargs: dict = {}
@@ -180,8 +178,8 @@ def scan_parquet_for_query(path: str, q) -> "object":
         and not q.in_subqueries
         and not q.corr_scalars
     ):
-        file_names = pq.read_schema(path).names
-        schema_names = set(file_names)
+        file_names, part_names = parquet_names(path)
+        schema_names = set(file_names + part_names)
 
         def strip(n: str) -> str:
             for t in (q.table, q.table_alias):
@@ -205,7 +203,9 @@ def scan_parquet_for_query(path: str, q) -> "object":
             where = _strip_qualifier(where, q.table)
             if q.table_alias:
                 where = _strip_qualifier(where, q.table_alias)
-            filt = where_to_ds_filter(where, schema_names)
+            # hive partition columns are not in the files the filter
+            # reads
+            filt = where_to_ds_filter(where, set(file_names))
             if filt is not None:
                 kwargs["filter"] = filt
     return read_parquet_clean(path, **kwargs)

@@ -139,22 +139,18 @@ class BroadcastJoiner:
         lidx = pa.array(merged["__lidx"].to_numpy())
         left_out = batch.take(lidx)
         ridx = merged["__ridx"]
-        has_nulls = ridx.isna().any()
-        ridx_np = ridx.fillna(0).to_numpy(dtype=np.int64)
-        right_out = self._right_tbl.take(pa.array(ridx_np))
+        # an unmatched LEFT row takes a null index, which takes a null
+        # row (also from an empty right side)
+        unmatched = ridx.isna().to_numpy()
+        right_out = self._right_tbl.take(
+            pa.array(
+                ridx.fillna(0).to_numpy(dtype=np.int64),
+                mask=unmatched if unmatched.any() else None,
+            )
+        )
         cols = dict(zip(left_out.column_names, left_out.columns))
-        if has_nulls:
-            null_mask = pa.array(ridx.isna().to_numpy())
-            import pyarrow.compute as pc
-
-            for name, col in zip(self._right_names, right_out.columns):
-                col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-                cols[name] = pc.if_else(
-                    null_mask, pa.nulls(len(col), col.type), col
-                )
-        else:
-            for name, col in zip(self._right_names, right_out.columns):
-                cols[name] = col
+        for name, col in zip(self._right_names, right_out.columns):
+            cols[name] = col
         return pa.table(cols)
 
 

@@ -73,11 +73,13 @@ def auto_buckets(n_rows: int) -> int:
 
 
 def _estimate_rows(ds: "ray.data.Dataset") -> int:
-    """Row count for bucket sizing: free from parquet metadata when the
-    dataset is an untransformed read (``_meta_count``), else ONE counting
-    pass of the (lazy) input. The pass costs a re-read of the upstream
-    columns — cheap next to the all-to-all exchange it sizes — but hot
-    callers that know their count should pass ``num_buckets`` explicitly."""
+    """Row count for bucket sizing: free when Ray knows it without running
+    anything (``_meta_count``: an untransformed read or a materialized
+    Dataset; a ``read_parquet_clean`` read is neither, its metadata-strip
+    map hides the count), else ONE counting pass — a whole Ray execution
+    of the (lazy) input, ~0.1 s of fixed cost before any data. Callers
+    that know the count, e.g. from Parquet footers, pass ``n_rows`` to
+    :func:`resolve_buckets` instead."""
     try:
         n = ds._meta_count()
     except Exception:  # pragma: no cover - private-API drift guard
