@@ -124,7 +124,7 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    from sqlgrep_ray.pipelines.curate import _semi_filter, _collect_ids, BROADCAST_IDS_MAX
+    from sqlgrep_ray.pipelines.curate import _semi_filter, _collect_ids
     from sqlgrep_ray.sources import read_parquet_clean
     from sqlgrep_ray.stages.dedup import exact_dedup, minhash_lsh_dedup
     from sqlgrep_ray.stages.textdup import duplicate_ngram_stats
@@ -292,23 +292,13 @@ def main() -> int:
     final_dir = os.path.join(args.out, "final")
     if stage("final"):
         t = time.time()
-        from sqlgrep_ray.pipelines.curate import _anti_join
-        from sqlgrep_ray.stages.enrich import join_partitions
+        from sqlgrep_ray.pipelines.curate import _id_filter
 
-        np_ = join_partitions(None)
         filtered = rd.read_parquet(stats_dir)
         winners = rd.read_parquet(winners_dir)
         # size-aware keep-set application (same policy as pipelines.curate):
-        # broadcast small id sets, hash-join above the bound
-        if winners.count() <= BROADCAST_IDS_MAX:
-            kept = _semi_filter(
-                filtered, _collect_ids(winners, "doc_id"), "doc_id", keep=True
-            )
-        else:
-            kept = filtered.join(
-                winners.select_columns(["doc_id"]), join_type="inner",
-                on=("doc_id",), num_partitions=np_,
-            )
+        # broadcast small id sets, key-bucketed semi/anti-join above the bound
+        kept = _id_filter(filtered, winners, "doc_id", keep=True)
         pairs = read_stage(
             pairs_dir,
             {"id_a": pa.int64(), "id_b": pa.int64(), "jaccard": pa.float64()},
@@ -317,12 +307,7 @@ def main() -> int:
             lambda tb: pa.table({"doc_id": tb["id_b"]}),
             batch_format="pyarrow", zero_copy_batch=True,
         )
-        n_losers = losers_ds.count()
-        if 0 < n_losers <= BROADCAST_IDS_MAX:
-            loser_ids = pc.unique(_collect_ids(losers_ds, "doc_id"))
-            kept = _semi_filter(kept, loser_ids, "doc_id", keep=False)
-        elif n_losers:
-            kept = _anti_join(kept, losers_ds, "doc_id", np_)
+        kept = _id_filter(kept, losers_ds, "doc_id", keep=False)
         # duplicate-gram fraction cap: broadcast the over-cap ids
         dup = read_stage(
             dup_dir,
@@ -345,13 +330,7 @@ def main() -> int:
             kept = _semi_filter(kept, bad_ids, "doc_id", keep=False)
         if args.benchmark:
             contaminated = read_stage(decon_dir, {"doc_id": pa.int64()})
-            n_bad = contaminated.count()
-            if 0 < n_bad <= BROADCAST_IDS_MAX:
-                kept = _semi_filter(
-                    kept, _collect_ids(contaminated, "doc_id"), "doc_id", keep=False
-                )
-            elif n_bad:
-                kept = _anti_join(kept, contaminated, "doc_id", np_)
+            kept = _id_filter(kept, contaminated, "doc_id", keep=False)
         if args.scrub_boilerplate:
             from sqlgrep_ray.stages.segdedup import segment_dedup
 

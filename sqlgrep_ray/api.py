@@ -29,6 +29,7 @@ import os
 from typing import Optional, Union
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from sqlgrep_ray.functions.exprs import (
@@ -447,7 +448,13 @@ def _apply_in_subqueries(
         from sqlgrep_ray.functions.exprs import compile_predicate
         from sqlgrep_ray.stages.enrich import BroadcastJoiner, shuffle_join
 
-        vals = run_sub(sub)  # (key_col, val_col) per correlation key
+        # (key_col, val_col) per correlation key; a NULL outer key equals
+        # no key, so the subquery's NULL group must not join
+        vals = run_sub(sub).map_batches(
+            lambda t, _k=key_col: t.filter(pc.is_valid(t[_k])),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        ).materialize()  # counted, then joined
         hidden = f"__cs{i}_"
         if vals.count() <= _CORR_BROADCAST_MAX:
             tbl = pa.concat_tables(

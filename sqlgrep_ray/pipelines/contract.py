@@ -3730,7 +3730,6 @@ def q_bloom_anti_orders(sf_dir: str) -> Result:
         "c_custkey",
         keep=False,
         broadcast_max=0,
-        num_partitions=16,
     )
 
 

@@ -29,7 +29,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from sqlgrep_ray.stages.dedup import exact_dedup, minhash_lsh_dedup
-from sqlgrep_ray.stages.enrich import join_partitions
+from sqlgrep_ray.stages.enrich import shuffle_join
 from sqlgrep_ray.stages.textstats import text_stats
 
 # id sets up to this size are broadcast (int64 → ≤16 MB in the object store,
@@ -65,87 +65,25 @@ def _semi_filter(
     )
 
 
-def _membership_join(
+def _id_filter(
     left: "ray.data.Dataset",
-    right_ids: "ray.data.Dataset",
+    ids: "ray.data.Dataset",
     id_col: str,
-    num_partitions: int,
-    keep_matched: bool = False,
-    key_type: "pa.DataType | None" = None,
+    keep: bool,
 ) -> "ray.data.Dataset":
-    """left rows whose ``id_col`` does (``keep_matched=True``, semi-join)
-    or does not (anti-join) appear in ``right_ids`` — left-outer join
-    against the deduped id set + null-marker filter (both sides
-    hash-partition on the id; no driver state).
-
-    ``key_type``: pass the id's Arrow type when ``right_ids`` derives
-    from a prior shuffle/join output — those emit schema-less EMPTY
-    blocks that pyarrow's partition join rejects ("no match for key
-    field on right side"); knowing the type lets every block be
-    normalized to the exact (id, __nd) schema first."""
-    from ray.data.aggregate import Max
-
-    def mark(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0 or (key_type is not None and id_col not in t.column_names):
-            if key_type is None:
-                raise ValueError(
-                    f"schema-less block in membership join on {id_col!r}; "
-                    "pass key_type when the id side derives from a shuffle"
-                )
-            ids = pa.array([], key_type)
-        else:
-            ids = t[id_col]
-            if key_type is not None:
-                ids = pc.cast(ids, key_type)
-        return pa.table(
-            {id_col: ids, "__nd": pa.array([1] * len(ids), pa.int8())}
+    """``left`` rows whose ``id_col`` does (``keep=True``, semi-join) or
+    does not (anti-join) appear in ``ids``: a broadcast :func:`_semi_filter`
+    up to ``BROADCAST_IDS_MAX`` ids, else ``enrich.shuffle_join``'s
+    semi/anti, which runs the same ``is_in`` per key bucket — so both
+    branches keep the same rows, NULL ids included."""
+    if ids.count() <= BROADCAST_IDS_MAX:
+        return _semi_filter(
+            left, pc.unique(_collect_ids(ids, id_col)), id_col, keep
         )
-
-    marked = right_ids.map_batches(
-        mark, batch_format="pyarrow", zero_copy_batch=True
+    return shuffle_join(
+        left, ids.select_columns([id_col]), on=[id_col],
+        how="semi" if keep else "anti",
     )
-    # dedup the right side: duplicate keys in a join's build side would
-    # fan out left rows
-    marked = marked.groupby(id_col).aggregate(
-        Max("__nd", alias_name="__nd", ignore_nulls=True)
-    )
-    if key_type is not None:
-        # the groupby shuffle can also emit schema-less empty blocks
-        target = pa.schema([(id_col, key_type), ("__nd", pa.int8())])
-
-        def normalize(t: pa.Table) -> pa.Table:
-            if t.num_columns == 0:
-                return target.empty_table()
-            return t.select([id_col, "__nd"]).cast(target)
-
-        marked = marked.map_batches(
-            normalize, batch_format="pyarrow", zero_copy_batch=True
-        )
-    joined = left.join(
-        marked, join_type="left_outer", on=(id_col,), num_partitions=num_partitions
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
-        if t.num_columns == 0:
-            return t
-        mask = pc.is_null(t["__nd"])
-        if keep_matched:
-            mask = pc.invert(mask)
-        return t.filter(mask).drop_columns(["__nd"])
-
-    return joined.map_batches(
-        finish, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-def _anti_join(
-    left: "ray.data.Dataset",
-    right_ids: "ray.data.Dataset",
-    id_col: str,
-    num_partitions: int,
-) -> "ray.data.Dataset":
-    """left rows whose ``id_col`` does NOT appear in ``right_ids``."""
-    return _membership_join(left, right_ids, id_col, num_partitions)
 
 
 def curate(
@@ -158,7 +96,6 @@ def curate(
     drop_near_dups: bool = False,
     near_dup_threshold: float = 0.9,
     cluster_exact: bool = False,
-    num_partitions: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Filter + dedup a document corpus; returns surviving (id, text, stats).
 
@@ -177,7 +114,6 @@ def curate(
     (token floor + normalized-content dedup), which the contract oracle
     exploits.
     """
-    num_partitions = join_partitions(num_partitions)
     stats = text_stats(ds, text_col=text_col)
     langs = pa.array(list(languages)) if languages is not None else None
 
@@ -196,20 +132,9 @@ def curate(
     filtered = filtered.materialize()
 
     # exact dedup on content fingerprint → surviving ids; the winner set is
-    # counted first (it is the output of an aggregation — already small per
-    # key) and applied as a broadcast semi-filter when it fits, else as a
-    # distributed semi-join (inner join on the id — one row per survivor, no
-    # fan-out)
+    # the output of an aggregation (one row per survivor, no fan-out)
     winners = exact_dedup(filtered, key="fingerprint", id_col=id_col).materialize()
-    if winners.count() <= BROADCAST_IDS_MAX:
-        kept = _semi_filter(filtered, _collect_ids(winners, id_col), id_col, keep=True)
-    else:
-        kept = filtered.join(
-            winners.select_columns([id_col]),
-            join_type="inner",
-            on=(id_col,),
-            num_partitions=num_partitions,
-        )
+    kept = _id_filter(filtered, winners, id_col, keep=True)
 
     if drop_near_dups:
         pairs = minhash_lsh_dedup(
@@ -232,10 +157,6 @@ def curate(
                 batch_format="pyarrow",
                 zero_copy_batch=True,
             ).materialize()
-        if losers.count() <= BROADCAST_IDS_MAX:
-            loser_ids = pc.unique(_collect_ids(losers, id_col))
-            kept = _semi_filter(kept, loser_ids, id_col, keep=False)
-        else:
-            kept = _anti_join(kept, losers, id_col, num_partitions)
+        kept = _id_filter(kept, losers, id_col, keep=False)
 
     return kept

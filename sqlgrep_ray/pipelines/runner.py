@@ -26,6 +26,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from sqlgrep_ray.functions.exprs import (
+    Col,
     CompileCtx,
     compile_expr,
     compile_predicate,
@@ -61,31 +62,50 @@ from sqlgrep_ray.stages.enrich import BroadcastJoiner
 SMALL_MERGE_MAX_PARTIAL_ROWS = 2_000_000
 
 
+def _expr_cols(e) -> set:
+    """Column names an expression reads."""
+    if e is None:
+        return set()
+    if isinstance(e, Col):
+        return {e.name} if e.name != "$value" else set()
+    from sqlgrep_ray.sqlfront import _children
+
+    return set().union(*(_expr_cols(c) for c in _children(e)))
+
+
+def _hidden_order_keys(plan: SelectPlan) -> "tuple[tuple, list]":
+    """ORDER BY entries that read a column the SELECT list drops are
+    computed before the projection, as hidden ``__obx{i}`` columns that
+    the sort drops again. Returns ``(order_by, [(name, expr), …])``; a
+    plan whose ORDER BY reads only output columns comes back as it is."""
+    if plan.projections is None or plan.distinct or not plan.order_by:
+        return plan.order_by, []
+    out = {p.name for p in plan.projections}
+    order_by, hidden = [], []
+    for i, ent in enumerate(plan.order_by):
+        if _expr_cols(ent[0]) - out:
+            hidden.append((f"__obx{i}", ent[0]))
+            ent = (Col(f"__obx{i}"),) + tuple(ent[1:])
+        order_by.append(ent)
+    return tuple(order_by), hidden
+
+
 def referenced_columns(plan: Plan) -> Optional[list[str]]:
     """Input columns a plan reads — pass to ``read_parquet(columns=…)`` so
     only needed columns leave storage ("prune at the read"). Returns None
     for wildcard selects (all columns needed)."""
-    from sqlgrep_ray.functions.exprs import Col as _Col
-
     cols: set[str] = set()
 
     def walk(e) -> None:
-        if e is None:
-            return
-        if isinstance(e, _Col):
-            if e.name != "$value":
-                cols.add(e.name)
-            return
-        from sqlgrep_ray.sqlfront import _children
-
-        for c in _children(e):
-            walk(c)
+        cols.update(_expr_cols(e))
 
     if isinstance(plan, SelectPlan):
         if plan.projections is None:
             return None  # wildcard
         for p in plan.projections:
             walk(p.expr)
+        for _, e in _hidden_order_keys(plan)[1]:
+            walk(e)
         walk(plan.where)
         walk(getattr(plan, "qualify", None))
         # UNNEST: projections reference the hidden exploded column; the
@@ -694,7 +714,7 @@ TOPN_LIMIT_MAX = 100_000
 
 def _apply_order(
     ds: "ray.data.Dataset", order_by, ctx: Optional[CompileCtx], limit=None,
-    offset=None,
+    offset=None, drop=(),
 ) -> "ray.data.Dataset":
     """ORDER BY (engine extension): append compiled sort-key columns
     (plus a 0/1 null marker per key so Ray's sort never compares NULLs —
@@ -706,7 +726,8 @@ def _apply_order(
     ``offset`` (OFFSET m, requires LIMIT): handled here for ordered
     output — the top-n pass keeps limit+offset rows and the final sorted
     slice starts at ``offset``; an offset always forces the top-n path
-    (the consolidated block is bounded by limit+offset rows)."""
+    (the consolidated block is bounded by limit+offset rows). ``drop``:
+    hidden input columns of the keys, dropped with the temp columns."""
     if not order_by:
         return ds
     offset = offset or 0
@@ -768,7 +789,9 @@ def _apply_order(
             ds.map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
             .repartition(1)
             .map_batches(
-                lambda t: t.take(order(t).slice(offset, limit)),
+                lambda t: t.take(order(t).slice(offset, limit)).drop_columns(
+                    list(drop)
+                ),
                 batch_format="pyarrow",
             )
         )
@@ -787,17 +810,24 @@ def _apply_order(
         )
         .sort(sort_cols, descending=sort_desc)
         .map_batches(
-            lambda t: t.drop_columns(sort_cols),
+            lambda t: t.drop_columns(sort_cols + list(drop)),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
     )
 
 
-def _order_limit(ds, plan, ctx: Optional[CompileCtx]) -> "ray.data.Dataset":
-    """The ORDER BY / LIMIT / OFFSET tail of every plan."""
-    order_by, offset = getattr(plan, "order_by", ()), getattr(plan, "offset", None)
-    ds = _apply_order(ds, order_by, ctx, limit=plan.limit, offset=offset)
+def _order_limit(
+    ds, plan, ctx: Optional[CompileCtx], order_by=None, drop=()
+) -> "ray.data.Dataset":
+    """The ORDER BY / LIMIT / OFFSET tail of every plan; ``order_by`` and
+    ``drop`` as :func:`_hidden_order_keys` returns them."""
+    if order_by is None:
+        order_by = getattr(plan, "order_by", ())
+    offset = getattr(plan, "offset", None)
+    ds = _apply_order(
+        ds, order_by, ctx, limit=plan.limit, offset=offset, drop=drop
+    )
     # the streaming executor stops upstream once LIMIT rows are out
     return _limit_offset(ds, plan.limit, offset, ordered=bool(order_by))
 
@@ -1030,8 +1060,12 @@ def run_select(
             explode, batch_format="pyarrow", zero_copy_batch=True
         )
 
+    order_by, hidden = _hidden_order_keys(plan)
     if plan.projections is not None:
-        kernels = [(p.name, compile_expr(p.expr, ctx)) for p in plan.projections]
+        kernels = [
+            (n, compile_expr(e, ctx))
+            for n, e in [(p.name, p.expr) for p in plan.projections] + hidden
+        ]
 
         def project(t: pa.Table) -> pa.Table:
             return pa.table({n: _as_array(k(t), t.num_rows) for n, k in kernels})
@@ -1040,7 +1074,7 @@ def run_select(
 
     if plan.distinct:
         ds = _distinct(ds)
-    return _order_limit(ds, plan, ctx)
+    return _order_limit(ds, plan, ctx, order_by, [n for n, _ in hidden])
 
 
 def _cd_two_stage_eligible(plan: AggregatePlan) -> bool:
@@ -1350,11 +1384,8 @@ def _mode_path(
        NULL (SQL parity)."""
     from sqlgrep_ray.functions.exprs import Col
     from sqlgrep_ray.pipelines.plan import AggItem
-    from sqlgrep_ray.stages.window import (
-        _bucketed,
-        _key_change_mask,
-        resolve_buckets,
-    )
+    from sqlgrep_ray.stages.exchange import bucketed
+    from sqlgrep_ray.stages.window import _key_change_mask, resolve_buckets
 
     if any(a.func != "mode" for a in plan.aggs):
         raise ValueError(
@@ -1429,7 +1460,7 @@ def _mode_path(
         return pa.table(cols)
 
     nb = resolve_buckets(None, counts)
-    out = _bucketed(counts, gkeys, nb, pick)
+    out = bucketed(counts, gkeys, nb, pick)
 
     if plan.having is not None:
         pred = compile_predicate(plan.having, ctx)

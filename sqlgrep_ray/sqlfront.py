@@ -1870,11 +1870,12 @@ def _refs_table(e: Optional[Expr], table: str) -> bool:
 
 
 def _extract_correlation(
-    where: Optional[Expr], outer_table: str, inner_table: str
+    where: Optional[Expr], outer_table: str, sub: "Query"
 ) -> "tuple[list[tuple[str, str]], list[Expr]]":
     """Split a subquery WHERE into correlation equality pairs
     ``(outer_col, inner_col)`` (one side qualified with the OUTER table
-    name, the other an inner column) and the remaining inner-only
+    name, the other an inner column, bare or qualified with the
+    subquery's table or its alias) and the remaining inner-only
     conjuncts."""
     corr: list[tuple[str, str]] = []
     kept: list[Expr] = []
@@ -1893,7 +1894,7 @@ def _extract_correlation(
                 inner_col = r if lo else l
                 if "." in inner_col:
                     tab, col = inner_col.split(".", 1)
-                    if tab != inner_table:
+                    if tab not in (sub.table, sub.table_alias):
                         kept.append(c)
                         continue
                     inner_col = col
@@ -1958,7 +1959,7 @@ def _decorrelate_scalar(
                 "(SELECT AGG(col) FROM …)"
             )
         return None
-    corr, kept = _extract_correlation(plan.where, outer_table, sub.table)
+    corr, kept = _extract_correlation(plan.where, outer_table, sub)
     if not corr:
         return None
     if plan.group_by or plan.having is not None or len(plan.aggs) != 1:
@@ -2026,7 +2027,7 @@ def _decorrelate_exists(
                 "(no GROUP BY / window functions)"
             )
         return None
-    corr, kept = _extract_correlation(plan.where, outer_table, sub.table)
+    corr, kept = _extract_correlation(plan.where, outer_table, sub)
     if not corr:
         return None
     for c in kept:

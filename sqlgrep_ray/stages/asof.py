@@ -224,77 +224,32 @@ def asof_join_large(
     """Shuffle-both-sides as-of join — the fallback for a RIGHT side too
     large to broadcast (the module-doc partitioning note, now implemented).
 
-    Both sides are hash-assigned to ``num_buckets`` key buckets (one
-    deterministic shuffle each, via a tagged union so a single ``groupby``
-    co-locates them; ``None`` → ``window.auto_buckets`` over
+    Both sides hash into the same ``num_buckets`` key buckets through
+    ``exchange.co_bucketed`` (``None`` → ``window.auto_buckets`` over
     left+right rows); each bucket task builds the sorted per-key index
     over just ITS right rows and probes its left rows with the same
     vectorized ``searchsorted`` as the broadcast path. Per-worker memory
     is (left+right)/num_buckets; a single hot key must still fit one
     worker.
     """
-    import pandas as pd
+    from sqlgrep_ray.stages.exchange import co_bucketed
 
-    from sqlgrep_ray.stages.window import resolve_buckets
+    needed = list(dict.fromkeys([right_key, right_ts, *value_cols]))
 
-    num_buckets = resolve_buckets(num_buckets, left, right)
-
-    lschema = left.schema().base_schema
-    rschema = right.schema().base_schema
-    left_names = list(lschema.names)
-    val_types = {c: rschema.field(c).type for c in value_cols}
-    rts_type = rschema.field(right_ts).type
-    out_names = left_names + ["__rts", *value_cols, "__side", "__b"]
-
-    def bucket_of(keys: pa.ChunkedArray | pa.Array, n: int) -> pa.Array:
-        # block-stable hash: canonicalize the key column first (see
-        # window._bucket_ids — int-with-nulls blocks otherwise flip dtype
-        # under to_pandas and hash differently per block)
-        from sqlgrep_ray.stages.window import _bucket_ids
-
-        return _bucket_ids(pa.table({"k": keys}), "k", num_buckets)
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        cols = {nm: t[nm] for nm in left_names}
-        cols["__rts"] = pa.nulls(t.num_rows, rts_type)
-        for c in value_cols:
-            cols[c] = pa.nulls(t.num_rows, val_types[c])
-        cols["__side"] = pa.array(np.zeros(t.num_rows, np.int8))
-        cols["__b"] = bucket_of(t[left_key], t.num_rows)
-        return pa.table({nm: cols[nm] for nm in out_names})
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        cols = {}
-        for f in lschema:
-            if f.name == left_key:
-                cols[f.name] = t[right_key].cast(f.type)
-            else:
-                cols[f.name] = pa.nulls(t.num_rows, f.type)
-        cols["__rts"] = t[right_ts]
-        for c in value_cols:
-            cols[c] = t[c]
-        cols["__side"] = pa.array(np.ones(t.num_rows, np.int8))
-        cols["__b"] = bucket_of(t[right_key], t.num_rows)
-        return pa.table({nm: cols[nm] for nm in out_names})
-
-    tagged = left.map_batches(
-        tag_left, batch_format="pyarrow", zero_copy_batch=True
-    ).union(
-        right.select_columns(
-            list(dict.fromkeys([right_key, right_ts, *value_cols]))
-        ).map_batches(
-            tag_right, batch_format="pyarrow", zero_copy_batch=True
-        )
-    )
-
-    def bucket_asof(g: pa.Table) -> pa.Table:
-        side = g["__side"].to_numpy(zero_copy_only=False)
-        lpart = g.filter(pa.array(side == 0)).select(left_names)
-        rpart_src = g.filter(pa.array(side == 1))
-        rcols = {right_key: rpart_src[left_key], right_ts: rpart_src["__rts"]}
-        for c in value_cols:
-            rcols[c] = rpart_src[c]
-        built = _build_index(pa.table(rcols), right_key, right_ts, value_cols)
+    def bucket_asof(lpart: pa.Table, rpart: pa.Table) -> pa.Table:
+        if lpart.num_columns == 0:
+            return lpart
+        if rpart.num_columns == 0:
+            # no right block carried a schema: every left row misses
+            return lpart.slice(0, 0) if how == "inner" else lpart
+        ltype = lpart.schema.field(left_key).type
+        if not pa.types.is_null(ltype):
+            i = rpart.schema.get_field_index(right_key)
+            rpart = rpart.set_column(i, right_key, rpart[right_key].cast(ltype))
+        built = _build_index(rpart, right_key, right_ts, value_cols)
         return _probe(lpart, built, left_key, left_ts, value_cols, how)
 
-    return tagged.groupby("__b").map_groups(bucket_asof, batch_format="pyarrow")
+    return co_bucketed(
+        left, right.select_columns(needed), left_key, right_key, bucket_asof,
+        num_buckets=num_buckets,
+    )

@@ -42,7 +42,7 @@ _H2_KEY = "bloom-h2-6543210"
 def _canon(col: "pa.ChunkedArray | pa.Array") -> pd.Series:
     """Canonical pandas view for hashing: strings hash as-is, everything
     else through its Arrow string form — same contract as
-    ``window._bucket_ids`` (an int64 column with nulls must not decay to
+    ``exchange.bucket_ids`` (an int64 column with nulls must not decay to
     float64 and change hashes block-to-block)."""
     if not pa.types.is_string(col.type) and not pa.types.is_large_string(col.type):
         col = pc.cast(col, pa.string())
@@ -128,7 +128,6 @@ def bloom_semi_join(
     keep: bool = True,
     fpp: float = 0.01,
     broadcast_max: int = EXACT_BROADCAST_MAX,
-    num_partitions: int = 64,
 ) -> "ray.data.Dataset":
     """EXACT semi- (``keep=True``) or anti- (``keep=False``) join of
     ``corpus`` against the key set, bloom-accelerated.
@@ -137,11 +136,11 @@ def bloom_semi_join(
     ``keys.key_col`` (NULL never matches — reference NULL⇒false
     comparison semantics). The bitmap prunes definite misses per batch;
     bloom hits are exact-verified, by a broadcast ``is_in`` when the key
-    count fits ``broadcast_max``, else by a hash-partitioned join over
-    the candidates only. The anti-join's large-key path materializes the
-    verified hit ids (bounded by matches + fpp·|corpus|) and anti-joins
-    the corpus against them — the corpus upstream is consumed twice
-    there; below ``broadcast_max`` both modes are single-pass."""
+    count fits ``broadcast_max``, else by a key-bucketed semi-join
+    (``enrich.shuffle_join``) over the candidates only. The anti-join's
+    large-key path anti-joins the corpus against the verified hits
+    (bounded by matches + fpp·|corpus|) — the corpus upstream is consumed
+    twice there; below ``broadcast_max`` both modes are single-pass."""
     import ray
 
     key_col = key_col or col
@@ -201,31 +200,18 @@ def bloom_semi_join(
             zero_copy_batch=True,
         )
 
-    # large key set: candidates stream through a hash-partitioned verify
-    from sqlgrep_ray.pipelines.curate import _membership_join
+    # large key set: candidates stream through a key-bucketed verify
+    from sqlgrep_ray.stages.enrich import shuffle_join
 
     cands = corpus.map_batches(
         probe, fn_kwargs=dict(bm_ref=bm_ref), batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    keys_ds = keys.select_columns([key_col])
-    if key_col != col:
-        keys_ds = keys_ds.rename_columns({key_col: col})
-    sch = keys.schema(fetch_if_missing=True)
-    key_type = sch.base_schema.field(key_col).type if sch is not None else None
+    hits = shuffle_join(
+        cands, keys.select_columns([key_col]), [col], [key_col], how="semi"
+    )
     if keep:
-        # semi: ONE hash-partitioned join of the candidates vs the keys
-        return _membership_join(
-            cands, keys_ds, col, num_partitions, keep_matched=True,
-            key_type=key_type,
-        )
+        return hits
     # anti: verified hits (bounded by matches + fpp·|corpus|) then corpus
     # minus hits — the corpus upstream is consumed twice in this regime
-    hits = _membership_join(
-        cands, keys_ds, col, num_partitions, keep_matched=True,
-        key_type=key_type,
-    )
-    return _membership_join(
-        corpus, hits.select_columns([col]), col, num_partitions,
-        keep_matched=False, key_type=key_type,
-    )
+    return shuffle_join(corpus, hits.select_columns([col]), [col], how="anti")

@@ -45,7 +45,7 @@ def connected_components(
 ) -> "ray.data.Dataset":
     """(node, component) for every node appearing in ``edges``; component =
     the minimum node id reachable from the node."""
-    from sqlgrep_ray.stages.enrich import join_partitions
+    from sqlgrep_ray.stages.enrich import shuffle_join
 
     def _flat(c):
         return c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
@@ -60,9 +60,8 @@ def connected_components(
         )
 
     def fix_schema(t: pa.Table) -> pa.Table:
-        # groupby emits EMPTY blocks with an empty schema; Acero's join
-        # rejects a schemaless right partition ("no match for key field n"),
-        # so pin every block to the (n, component) layout
+        # groupby emits EMPTY blocks with an empty schema; pin every block
+        # to the (n, component) layout the final rename expects
         if t.num_rows == 0:
             return pa.table(
                 {
@@ -119,18 +118,10 @@ def connected_components(
         .map_batches(fix_schema, batch_format="pyarrow", zero_copy_batch=True)
         .materialize()
     )
-    # size-aware partitioning: tiny label sets leave some hash partitions
-    # EMPTY, and Ray's shuffle-join aggregator builds those partitions
-    # without a schema (Acero then rejects the key field) — one partition
-    # per ~64k labels, floor 1, cap join_partitions
-    n_labels = labels.count()
-    np_ = max(1, min(join_partitions(None), n_labels // 65536 + 1))
     prev_sum = None
     converged = False
     for _ in range(max_iter):
-        neigh = und.join(
-            labels, join_type="inner", on=("n",), num_partitions=np_
-        ).map_batches(
+        neigh = shuffle_join(und, labels, ["n"]).map_batches(
             lambda t: pa.table({"n": t["m"], "component": t["component"]}),
             batch_format="pyarrow",
             zero_copy_batch=True,

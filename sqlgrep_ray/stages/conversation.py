@@ -47,15 +47,11 @@ def reassemble_conversations(
     Determinism contract: (key, order_col) unique per row; text/role
     non-null (transcript generator guarantees both).
     """
+    from sqlgrep_ray.stages.exchange import bucketed
     from sqlgrep_ray.stages.window import resolve_buckets
 
     num_buckets = resolve_buckets(num_buckets, ds)
     cols = [key, order_col, text_col] + ([role_col] if role_col else [])
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from sqlgrep_ray.stages.window import _bucket_ids
-
-        return t.append_column("__b", _bucket_ids(t, key, num_buckets))
 
     def join_bucket(g: pa.Table) -> pa.Table:
         n = g.num_rows
@@ -101,9 +97,4 @@ def reassemble_conversations(
             }
         )
 
-    return (
-        ds.select_columns(cols)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(join_bucket, batch_format="pyarrow")
-    )
+    return bucketed(ds, key, num_buckets, join_bucket, cols=cols)

@@ -170,76 +170,19 @@ def _collect_buckets(hot: "ray.data.Dataset") -> pa.Array:
     return pa.concat_tables(tbls)["bucket"].combine_chunks()
 
 
-def _list_cols_of(ds: "ray.data.Dataset") -> dict:
-    """list / fixed-size-list columns of a Dataset (Acero joins reject them
-    as non-key columns, so they ride joins packed to binary)."""
-    schema = ds.schema().base_schema
-    return {
-        f.name: f.type
-        for f in schema
-        if pa.types.is_list(f.type) or pa.types.is_fixed_size_list(f.type)
-    }
-
-
-def _pack_lists_fn(list_cols: dict):
-    def pack_lists(t: pa.Table) -> pa.Table:
-        for name in list_cols:
-            col = t[name]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            vals = col.to_numpy(zero_copy_only=False)
-            packed = pa.array([np.asarray(v).tobytes() for v in vals], pa.binary())
-            t = t.set_column(t.schema.get_field_index(name), name, packed)
-        return t
-
-    return pack_lists
-
-
-def _unpack_lists_fn(list_cols: dict):
-    def unpack_lists(t: pa.Table) -> pa.Table:
-        for name, typ in list_cols.items():
-            dtype = typ.value_type.to_pandas_dtype()
-            col = t[name]
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            arrs = [np.frombuffer(b, dtype=dtype) for b in col.to_pylist()]
-            t = t.set_column(t.schema.get_field_index(name), name, pa.array(arrs))
-        return t
-
-    return unpack_lists
-
-
 def _semi_join_hot(
     bucketed: "ray.data.Dataset", hot: "ray.data.Dataset", n_hot: int
 ) -> "ray.data.Dataset":
     """Candidate rows (members of a hot bucket): broadcast membership filter
-    while the hot set is small, else a distributed inner join on ``bucket``
-    (hot has one row per bucket, so inner == semi). Acero rejects
-    list-typed non-key columns, so list columns (embedding vectors) ride
-    the join as binary and are unpacked after (cf. semdedup's anti-join)."""
+    while the hot set is small, else a distributed semi-join on ``bucket``
+    (``enrich.shuffle_join``: the same ``is_in`` per key bucket)."""
     if n_hot <= HOT_BROADCAST_MAX:
         return _filter_hot(bucketed, _collect_buckets(hot))
-    from sqlgrep_ray.stages.enrich import join_partitions
+    from sqlgrep_ray.stages.enrich import shuffle_join
 
-    list_cols = _list_cols_of(bucketed)
-    left = bucketed
-    if list_cols:
-        left = left.map_batches(
-            _pack_lists_fn(list_cols), batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    joined = left.join(
-        hot.select_columns(["bucket"]),
-        join_type="inner",
-        on=("bucket",),
-        num_partitions=join_partitions(),
+    return shuffle_join(
+        bucketed, hot.select_columns(["bucket"]), ["bucket"], how="semi"
     )
-    if list_cols:
-        joined = joined.map_batches(
-            _unpack_lists_fn(list_cols), batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    return joined
 
 
 def _chunked_verify(
@@ -452,8 +395,8 @@ def _attach_payload(
       payload then fits ``TEXT_BROADCAST_MAX_BYTES``, ship it to every task
       (``ray.put``) and attach by vectorized searchsorted — no join
       exchange at all;
-    * otherwise: hash join on ``id_col`` (list-typed payload columns packed
-      to binary for Acero and unpacked after).
+    * otherwise: ``enrich.shuffle_join`` on ``id_col`` (list-typed payload
+      columns ride its exchange as they are).
 
     Returns None when there are no candidate rows. ``id_col`` values must
     be unique in ``payload`` (they are document keys)."""
@@ -516,25 +459,9 @@ def _attach_payload(
                 batch_format="pyarrow", zero_copy_batch=True,
             )
 
-    from sqlgrep_ray.stages.enrich import join_partitions
+    from sqlgrep_ray.stages.enrich import shuffle_join
 
-    list_cols = _list_cols_of(filtered)
-    right = filtered
-    if list_cols:
-        right = right.map_batches(
-            _pack_lists_fn(list_cols), batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    joined = cands.join(
-        right, join_type="inner", on=(id_col,),
-        num_partitions=join_partitions(),
-    )
-    if list_cols:
-        joined = joined.map_batches(
-            _unpack_lists_fn(list_cols), batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-    return joined
+    return shuffle_join(cands, filtered, [id_col])
 
 
 def _verify_one_block(

@@ -25,6 +25,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 
@@ -159,21 +160,53 @@ def broadcast(table: pa.Table) -> "ray.ObjectRef":
     return ray.put(table)
 
 
-def join_partitions(requested: Optional[int] = None, cap: int = 64) -> int:
-    """Safe ``num_partitions`` for ``Dataset.join``: Ray's hash-shuffle join
-    schedules one aggregator actor per partition (fractional CPU each) and
-    DEADLOCKS when the cluster cannot host them all — observed at 32
-    partitions on a 4-CPU local cluster; chained joins (e.g. semi-join then
-    anti-join) run BOTH aggregator pools concurrently, so each pool must fit
-    in a fraction of the cluster. One partition per CPU (0.25 CPU per
-    aggregator actor ⇒ a pool occupies a quarter of the cluster), capped."""
-    if requested is not None:
-        return requested
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(2, min(cap, cpus))
+def _unify_null_keys(a: pa.Table, a_keys, b: pa.Table, b_keys):
+    """A key column typed ``null`` (a part whose keys are all NULL) takes
+    the other side's key type, so the probe's dtypes line up."""
+    for ka, kb in zip(a_keys, b_keys):
+        ta, tb = a.schema.field(ka).type, b.schema.field(kb).type
+        if pa.types.is_null(ta) and not pa.types.is_null(tb):
+            a = a.set_column(
+                a.schema.get_field_index(ka), ka, pa.nulls(a.num_rows, tb)
+            )
+    return a
+
+
+def join_parts(
+    left: pa.Table,
+    right: pa.Table,
+    left_keys: Sequence[str],
+    right_keys: Sequence[str],
+    how: str,
+) -> pa.Table:
+    """One bucket of :func:`shuffle_join`: ``inner``/``left`` probe the
+    unchanged :class:`BroadcastJoiner` built over ``right`` (left columns,
+    then right's non-key columns); ``semi``/``anti`` keep ``left`` rows
+    whose key is (not) ``pc.is_in`` ``right``'s, the broadcast id-filter
+    kernel. NULL keys match each other, as on the broadcast path. A side
+    with no schema (no block of it carried one) joins as no rows; a LEFT
+    join then has no right columns to add."""
+    left_keys, right_keys = list(left_keys), list(right_keys)
+    if left.num_columns == 0 or right.num_columns == 0:
+        return left if how in ("left", "anti") else left.slice(0, 0)
+    if how in ("semi", "anti"):
+        if len(left_keys) != 1:
+            raise ValueError("semi/anti joins take one key column")
+        mask = pc.is_in(
+            left[left_keys[0]],
+            value_set=right[right_keys[0]].combine_chunks(),
+        )
+        return left.filter(mask if how == "semi" else pc.invert(mask))
+    # BroadcastJoiner types a null-typed probe key itself, not a build key
+    right = _unify_null_keys(right, right_keys, left, left_keys)
+    tmp = [f"__rk{i}" for i in range(len(right_keys))]
+    right = right.rename_columns(
+        [
+            tmp[right_keys.index(c)] if c in right_keys else c
+            for c in right.column_names
+        ]
+    )
+    return BroadcastJoiner(right, left_keys, tmp, how=how)(left).drop_columns(tmp)
 
 
 def shuffle_join(
@@ -182,23 +215,25 @@ def shuffle_join(
     on: Sequence[str],
     right_on: Optional[Sequence[str]] = None,
     how: str = "inner",
-    num_partitions: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """Distributed hash join — the LARGE-side fallback (SURVEY §2.5).
 
-    When the joined side does not fit in memory, broadcast is impossible and
-    both sides must shuffle on the key: this wraps Ray Data's native
-    ``Dataset.join`` (hash-partition both inputs, join per partition). Use
-    :class:`BroadcastJoiner` whenever the right side fits one worker — it
-    moves no left-side data at all.
+    When the joined side does not fit one worker, broadcast is impossible
+    and both sides move on the key: ``exchange.co_bucketed`` hashes both
+    into the same buckets and :func:`join_parts` joins each bucket — the
+    broadcast path's own kernels, so the result equals a broadcast join's
+    rows, NULL keys and list columns included. ``how``: ``inner``,
+    ``left``, ``semi`` or ``anti``. Use :class:`BroadcastJoiner` whenever
+    the right side fits one worker — it moves no left-side data at all.
     """
-    import ray.data  # noqa: F401  (type only)
+    from sqlgrep_ray.stages.exchange import co_bucketed
 
-    how_map = {"inner": "inner", "left": "left_outer"}
-    return left.join(
-        right,
-        join_type=how_map.get(how, how),
-        on=tuple(on),
-        right_on=tuple(right_on) if right_on is not None else None,
-        num_partitions=join_partitions(num_partitions),
-    )
+    if how not in ("inner", "left", "semi", "anti"):
+        raise ValueError(f"how must be inner|left|semi|anti, got {how!r}")
+    on = list(on)
+    right_on = list(right_on) if right_on is not None else on
+
+    def join_bucket(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return join_parts(lt, rt, on, right_on, how)
+
+    return co_bucketed(left, right, on, right_on, join_bucket)

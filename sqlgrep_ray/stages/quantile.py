@@ -186,13 +186,6 @@ def grouped_percentile(
 
     num_buckets = resolve_buckets(num_buckets, ds)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        from sqlgrep_ray.stages.window import _bucket_ids
-
-        t = t.select([key, value_col])
-        t = t.filter(pc.is_valid(t[value_col]))
-        return t.append_column("__b", _bucket_ids(t, key, num_buckets))
-
     def bucket_pct(g: pa.Table) -> pa.Table:
         from sqlgrep_ray.stages.window import _key_change_mask
 
@@ -222,8 +215,10 @@ def grouped_percentile(
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_pct, batch_format="pyarrow")
+    from sqlgrep_ray.stages.exchange import bucketed
+
+    valid = ds.select_columns([key, value_col]).map_batches(
+        lambda t: t.filter(pc.is_valid(t[value_col])),
+        batch_format="pyarrow", zero_copy_batch=True,
     )
+    return bucketed(valid, key, num_buckets, bucket_pct)

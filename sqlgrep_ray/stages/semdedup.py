@@ -95,9 +95,9 @@ def semdedup(
     """Surviving rows after semantic dedup: a row is dropped iff it pairs
     (cosine ≥ threshold, same cluster) with a SMALLER id — the min-id
     winner rule shared with ``dedup.exact_dedup``. Loser removal is
-    size-aware (the curate policy): small loser sets broadcast as an id
-    array, large ones run a distributed anti-join with the vector column
-    binary-packed through the shuffle."""
+    size-aware (``curate._id_filter``): small loser sets broadcast as an
+    id array, large ones run a key-bucketed anti-join that carries the
+    vector column as it is."""
     pairs = semdedup_pairs(
         ds, vec_col=vec_col, id_col=id_col, k=k, threshold=threshold, n_iter=n_iter
     )
@@ -106,44 +106,6 @@ def semdedup(
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()
-    from sqlgrep_ray.pipelines.curate import (
-        BROADCAST_IDS_MAX,
-        _anti_join,
-        _collect_ids,
-        _semi_filter,
-    )
+    from sqlgrep_ray.pipelines.curate import _id_filter
 
-    if losers.count() <= BROADCAST_IDS_MAX:
-        return _semi_filter(ds, _collect_ids(losers, id_col), id_col, keep=False)
-    # large loser set: distributed anti-join. Acero (Dataset.join) rejects
-    # list-typed non-key columns, so the vector column rides the shuffle as
-    # fixed-width binary and is unpacked after the join.
-    from sqlgrep_ray.stages.enrich import join_partitions
-
-    def pack_simple(t: pa.Table) -> pa.Table:
-        col = t[vec_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        vals = col.to_numpy(zero_copy_only=False)
-        packed = pa.array(
-            [np.asarray(v).tobytes() for v in vals], pa.binary()
-        )
-        i = t.schema.get_field_index(vec_col)
-        return t.set_column(i, vec_col, packed)
-
-    # element dtype from the ARROW schema (row-level take_all would lift
-    # float32 elements to python floats and mis-detect float64)
-    sample = ds.limit(1).take_batch(1, batch_format="pyarrow")
-    dtype = sample.schema.field(vec_col).type.value_type.to_pandas_dtype()
-
-    def unpack(t: pa.Table) -> pa.Table:
-        col = t[vec_col]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        arrs = [np.frombuffer(b, dtype=dtype) for b in col.to_pylist()]
-        i = t.schema.get_field_index(vec_col)
-        return t.set_column(i, vec_col, pa.array(arrs))
-
-    packed = ds.map_batches(pack_simple, batch_format="pyarrow", zero_copy_batch=True)
-    out = _anti_join(packed, losers, id_col, join_partitions(None))
-    return out.map_batches(unpack, batch_format="pyarrow", zero_copy_batch=True)
+    return _id_filter(ds, losers, id_col, keep=False)

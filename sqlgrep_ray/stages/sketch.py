@@ -286,7 +286,8 @@ def grouped_heavy_hitters(
     final per-key sum + compression. When a key's distinct items never
     exceed ``k`` nothing is ever decremented, so counts are EXACT (the
     driver-oracle regime). Output rows: (key, item, count)."""
-    from sqlgrep_ray.stages.window import _bucket_ids, resolve_buckets
+    from sqlgrep_ray.stages.exchange import bucketed
+    from sqlgrep_ray.stages.window import resolve_buckets
 
     num_buckets = resolve_buckets(num_buckets, ds)
 
@@ -306,22 +307,16 @@ def grouped_heavy_hitters(
             return t
         return _mg_compress_grouped(_sum_counts(t), key, k)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__b", _bucket_ids(t, key, num_buckets))
-
     def bucket_final(g: pa.Table) -> pa.Table:
         g = g.drop_columns(["__b"])
         if g.num_rows == 0:
             return g
         return _mg_compress_grouped(_sum_counts(g), key, k)
 
-    return (
-        ds.map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(combine, batch_format="pyarrow", batch_size=merge_rows)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_final, batch_format="pyarrow")
-    )
+    combined = ds.map_batches(
+        block, batch_format="pyarrow", zero_copy_batch=True
+    ).map_batches(combine, batch_format="pyarrow", batch_size=merge_rows)
+    return bucketed(combined, key, num_buckets, bucket_final)
 
 
 def grouped_approx_distinct(
@@ -394,14 +389,6 @@ def grouped_approx_distinct(
             }
         )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # block-stable key hash via the shared helper (raw
-        # hash_pandas_object was only safe here because block() drops
-        # null keys; _bucket_ids canonicalizes regardless)
-        from sqlgrep_ray.stages.window import _bucket_ids
-
-        return t.append_column("__b", _bucket_ids(t, key, 64))
-
     def merge_bucket(g: pa.Table) -> pa.Table:
         g = g.drop_columns(["__b"])
         n = g.num_rows
@@ -470,11 +457,11 @@ def grouped_approx_distinct(
             }
         )
 
-    return (
-        ds.map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(merge_bucket, batch_format="pyarrow")
+    from sqlgrep_ray.stages.exchange import bucketed
+
+    return bucketed(
+        ds.map_batches(block, batch_format="pyarrow", zero_copy_batch=True),
+        key, 64, merge_bucket,
     )
 
 
@@ -655,7 +642,8 @@ def grouped_approx_quantiles(
     ``floor(q*N)`` — the reference PERCENTILE contract); the driver
     oracle runs in that regime. NULL values drop per key; NULL keys form
     one group. Output: one row per key, columns ``(key, q<percent>…)``."""
-    from sqlgrep_ray.stages.window import _bucket_ids, _key_change_mask, resolve_buckets
+    from sqlgrep_ray.stages.exchange import bucketed
+    from sqlgrep_ray.stages.window import _key_change_mask, resolve_buckets
 
     for q in qs:
         if not 0.0 <= q <= 1.0:
@@ -697,9 +685,6 @@ def grouped_approx_quantiles(
             return t
         return _compact_table(t, with_level=True)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__b", _bucket_ids(t, key, num_buckets))
-
     def bucket_q(g: pa.Table) -> pa.Table:
         g = g.drop_columns(["__b"])
         n = g.num_rows
@@ -733,13 +718,10 @@ def grouped_approx_quantiles(
             cols[name] = pa.array(v[hit])
         return pa.table(cols)
 
-    return (
-        ds.map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(combine, batch_format="pyarrow", batch_size=merge_rows)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_q, batch_format="pyarrow")
-    )
+    combined = ds.map_batches(
+        block, batch_format="pyarrow", zero_copy_batch=True
+    ).map_batches(combine, batch_format="pyarrow", batch_size=merge_rows)
+    return bucketed(combined, key, num_buckets, bucket_q)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ the rest of the engine and scale-safe by construction:
    (``pa.TableGroupBy``, vectorized) — only fixed-width int pairs leave the
    block, never text;
 2. ``groupby(gram_hash, doc_id).Sum`` — global per-doc gram counts;
-3. ``groupby(gram_hash).Sum`` — global total occurrences per gram (small:
-   one row per distinct gram);
-4. hash-join 2⟕3 on the gram hash, flag grams with total ≥ 2, then ONE
+3. one gram-bucketed pass (``exchange.bucketed``): each bucket sums its
+   grams' total occurrences and flags grams with total ≥ 2, then ONE
    ``groupby(doc_id)`` sums duplicate vs total occurrences.
 
 Output: (doc_id, dup_grams, total_grams) — integers, so the DuckDB oracle
@@ -33,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from sqlgrep_ray.stages.enrich import join_partitions
+from sqlgrep_ray.stages.exchange import bucketed
 
 # (gram, doc, count) partial rows at or below this merge on the driver
 # (three int64 columns -> ~192 MB at the ceiling); above it the
@@ -70,13 +69,14 @@ def duplicate_ngram_stats(
     id_col: str = "doc_id",
     text_col: str = "text",
     k: int = 8,
-    num_partitions: "int | None" = None,
 ) -> "ray.data.Dataset":
     """(doc_id, dup_grams, total_grams): of the document's ``total_grams``
     k-gram occurrences, ``dup_grams`` belong to grams seen ≥ 2 times in the
     whole corpus. ``dup_grams / total_grams`` is the duplicate-span
     fraction; filter or down-weight above a threshold."""
     from ray.data.aggregate import Sum
+
+    from sqlgrep_ray.stages.window import resolve_buckets
 
     def explode(t: pa.Table) -> pa.Table:
         from sqlgrep_ray.stages.decontam import _doc_grams
@@ -130,8 +130,8 @@ def duplicate_ngram_stats(
     ).materialize()
 
     # size-aware AUTO (the aggregate/vocab/cc pattern): the whole dataflow
-    # below is three narrow-int hash aggregates + one join — at small
-    # partial counts that is 4 all-to-alls of pure fixed overhead for
+    # below is two narrow-int hash aggregates + one bucketed pass — at small
+    # partial counts that is 3 all-to-alls of pure fixed overhead for
     # milliseconds of actual work, so merge on the driver instead
     if pairs.count() <= TEXTDUP_SMALL_MAX:
         tbls = list(pairs.iter_batches(batch_format="pyarrow"))
@@ -171,31 +171,28 @@ def duplicate_ngram_stats(
         )
         return ray.data.from_arrow(out_t)
 
-    # global per-(gram, doc) counts — ONE vectorized hash shuffle; pin for
-    # the two consumers below (narrow: three int64 columns)
+    # global per-(gram, doc) counts — ONE vectorized hash shuffle; pinned,
+    # so the bucket count below reads its row count for free
     per_doc = (
         pairs.groupby(["gram", id_col])
         .aggregate(Sum("cnt", alias_name="cnt", ignore_nulls=True))
         .materialize()
     )
-    # global per-gram totals (one row per distinct gram)
-    totals = per_doc.groupby("gram").aggregate(
-        Sum("cnt", alias_name="total", ignore_nulls=True)
-    )
-    joined = per_doc.join(
-        totals,
-        join_type="inner",
-        on=("gram",),
-        num_partitions=join_partitions(num_partitions),
-    )
 
-    def flag(t: pa.Table) -> pa.Table:
+    # one gram-bucketed pass: a bucket holds every row of its grams, so the
+    # per-gram totals and the flags finish in-task (no totals join)
+    def flag(g: pa.Table) -> pa.Table:
+        totals_t = pa.TableGroupBy(
+            g.select(["gram", "cnt"]), ["gram"]
+        ).aggregate([("cnt", "sum")])
+        pos = pc.index_in(g["gram"], value_set=totals_t["gram"])
+        total = totals_t["cnt_sum"].take(pos)
         dup = pc.if_else(
-            pc.greater_equal(t["total"], 2), t["cnt"], pa.scalar(0, pa.int64())
+            pc.greater_equal(total, 2), g["cnt"], pa.scalar(0, pa.int64())
         )
-        return pa.table({id_col: t[id_col], "cnt": t["cnt"], "dup": dup})
+        return pa.table({id_col: g[id_col], "cnt": g["cnt"], "dup": dup})
 
-    flagged = joined.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
+    flagged = bucketed(per_doc, "gram", resolve_buckets(None, per_doc), flag)
     out = flagged.groupby(id_col).aggregate(
         Sum("dup", alias_name="dup_grams", ignore_nulls=True),
         Sum("cnt", alias_name="total_grams", ignore_nulls=True),

@@ -94,22 +94,12 @@ def grouped_topk(
     if not distributed:
         return cands.repartition(1).map_batches(block, batch_format="pyarrow")
 
+    from sqlgrep_ray.stages.exchange import bucketed
     from sqlgrep_ray.stages.window import resolve_buckets
 
     num_buckets = resolve_buckets(num_buckets, cands, n_rows=cand_count)
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        # deterministic block-stable multi-column hash (fixed siphash key,
-        # key columns canonicalized — see window._bucket_ids for why)
-        from sqlgrep_ray.stages.window import _bucket_ids
-
-        return t.append_column("__tb", _bucket_ids(t, keys, num_buckets))
-
     def bucket_topk(g: pa.Table) -> pa.Table:
-        return _local_topk(g.drop_columns(["__tb"]), keys, score_col, tie_col, k)
+        return _local_topk(g.drop_columns(["__b"]), keys, score_col, tie_col, k)
 
-    return (
-        cands.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__tb")
-        .map_groups(bucket_topk, batch_format="pyarrow")
-    )
+    return bucketed(cands, keys, num_buckets, bucket_topk)

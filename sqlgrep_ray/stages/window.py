@@ -44,6 +44,7 @@ import ray.data
 from sqlgrep_ray.functions.exprs import Col
 from sqlgrep_ray.pipelines.plan import AggItem, AggregatePlan, GroupKey
 from sqlgrep_ray.pipelines.runner import run_plan
+from sqlgrep_ray.stages.exchange import _as_keys, bucketed
 
 
 # Bucket-shuffle sizing for the key-hash window/session ops. A bucket is
@@ -117,93 +118,6 @@ def _same_key(a: pa.Array, b: pa.Array) -> pa.Array:
         pc.fill_null(pc.equal(a, b), False),
         pc.and_(pc.is_null(a), pc.is_null(b)),
     )
-
-
-def _as_keys(key) -> list:
-    """Normalize a partition key spec (str or sequence of str) to a list —
-    composite ``PARTITION BY a, b`` support."""
-    return [key] if isinstance(key, str) else list(key)
-
-
-_FNV = np.uint64(1099511628211)
-_NULL_SENTINEL = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized (uint64 wraparound is the point;
-    numpy only warns on SCALAR overflow, so silence it explicitly)."""
-    with np.errstate(over="ignore"):
-        x = x + np.uint64(0x9E3779B97F4A7C15)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return x ^ (x >> np.uint64(31))
-
-
-_NULL_HASH = _mix64(np.uint64(_NULL_SENTINEL))
-
-
-def _hash_string_col(c: "pa.Array | pa.ChunkedArray") -> np.ndarray:
-    """Vectorized 64-bit hash of a STRING column straight off the Arrow
-    buffers — a polynomial rolling hash (FNV-prime base) over the value
-    bytes, splitmix64-finalized, segment-summed with one cumsum (safe for
-    empty strings, unlike ``reduceat``). Pure function of the bytes, so
-    block-stable by construction; NULLs hash to a fixed sentinel distinct
-    from the empty string. Replaces the per-batch pandas detour
-    (``to_pandas`` + ``hash_pandas_object``) on the exchange path."""
-    if isinstance(c, pa.ChunkedArray):
-        c = c.combine_chunks()
-    n = len(c)
-    if n == 0:
-        return np.empty(0, np.uint64)
-    c = c.cast(pa.large_string())  # int64 offsets, uniform buffer layout
-    bufs = c.buffers()
-    offs = np.frombuffer(bufs[1], np.int64, count=n + 1, offset=c.offset * 8)
-    starts = offs[:-1] - offs[0]
-    ends = offs[1:] - offs[0]
-    lens = ends - starts
-    m = int(offs[-1] - offs[0])
-    if m:
-        data = np.frombuffer(bufs[2], np.uint8)
-        b = data[offs[0] : offs[-1]].astype(np.uint64)
-        maxlen = int(lens.max())
-        powers = np.empty(maxlen + 1, np.uint64)
-        powers[0] = np.uint64(1)
-        if maxlen:
-            np.multiply.accumulate(
-                np.full(maxlen, _FNV, np.uint64), out=powers[1:]
-            )
-        # byte j of string i gets weight FNV^(end_i - 1 - j): suffix
-        # weighting, so "ab" and "ba" differ
-        e = np.repeat(ends, lens) - 1 - np.arange(m, dtype=np.int64)
-        terms = (b + np.uint64(1)) * powers[e]
-        cs = np.zeros(m + 1, np.uint64)
-        np.cumsum(terms, out=cs[1:])
-        h = cs[ends] - cs[starts]  # uint64 wraparound == mod-2^64 sum
-    else:
-        h = np.zeros(n, np.uint64)
-    h = _mix64(h ^ (lens.astype(np.uint64) * _FNV))
-    null_mask = pc.is_null(c).to_numpy(zero_copy_only=False)
-    if null_mask.any():
-        h = np.where(null_mask, _NULL_HASH, h)
-    return h
-
-
-def _bucket_ids(t: pa.Table, keys, num_buckets: int) -> pa.Array:
-    """Block-stable bucket assignment for the key column(s). Key columns
-    are canonicalized to STRING before hashing — the same value must
-    bucket identically no matter which block it landed in (an int64
-    column with nulls elsewhere must not hash differently from one
-    without), and the string form is identical everywhere. The hash
-    itself is Arrow-native (``_hash_string_col``); composite keys mix
-    per-column hashes."""
-    h = None
-    for k in _as_keys(keys):
-        c = t[k]
-        if isinstance(c, pa.ChunkedArray):
-            c = c.combine_chunks()
-        hk = _hash_string_col(pc.cast(c, pa.string()))
-        h = hk if h is None else _mix64(h * _FNV ^ hk)
-    return pa.array((h % np.uint64(num_buckets)).astype(np.int64))
 
 
 def _key_change_mask(karr, n: int) -> np.ndarray:
@@ -304,30 +218,6 @@ def hopping_window(
     return run_plan(windowed, plan)
 
 
-def _bucketed(
-    ds: "ray.data.Dataset",
-    keys,
-    num_buckets: int,
-    bucket_fn,
-    cols: "Sequence[str] | None" = None,
-) -> "ray.data.Dataset":
-    """The shared execution shape: [prune] → hash keys into buckets
-    (one deterministic shuffle) → one vectorized ``bucket_fn`` call per
-    bucket. ``bucket_fn`` receives the bucket table WITH the ``__b``
-    column (drop it first thing)."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__b", _bucket_ids(t, keys, num_buckets))
-
-    if cols is not None:
-        ds = ds.select_columns(list(cols))
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(bucket_fn, batch_format="pyarrow")
-    )
-
-
 def sessionize(
     ds: "ray.data.Dataset",
     key: str,
@@ -397,7 +287,7 @@ def sessionize(
             }
         )
 
-    return _bucketed(ds, key, num_buckets, split_bucket, cols=[key, ts_col])
+    return bucketed(ds, key, num_buckets, split_bucket, cols=[key, ts_col])
 
 
 def trailing_window_agg(
@@ -464,7 +354,7 @@ def trailing_window_agg(
             g = g.append_column("trailing_sum", pa.array(cum[ub] - cum[lb]))
         return g
 
-    return _bucketed(ds, key, num_buckets, agg_bucket, cols=cols)
+    return bucketed(ds, key, num_buckets, agg_bucket, cols=cols)
 
 
 def assign_sessions(
@@ -507,7 +397,7 @@ def assign_sessions(
             session_col, pa.array((bno - first_of_key).astype(np.int64))
         )
 
-    return _bucketed(ds, key, num_buckets, label_bucket, cols=cols)
+    return bucketed(ds, key, num_buckets, label_bucket, cols=cols)
 
 
 @dataclass(frozen=True)
@@ -1214,7 +1104,7 @@ def partition_windows(
             g = g.append_column(name, arr)
         return g
 
-    return _bucketed(ds, keys, num_buckets, window_bucket, cols=cols)
+    return bucketed(ds, keys, num_buckets, window_bucket, cols=cols)
 
 
 def lag_shift(
@@ -1343,8 +1233,9 @@ def partition_running_ranged(
     2. per-(key, chunk) totals via one NARROW aggregate (no payload);
     3. per-key EXCLUSIVE prefixes over chunk totals via one tiny bucketed
        pass (carry rows only: keys × touched-chunks);
-    4. distributed hash-join of the prefixes back onto the rows, then one
-       bucketed pass per (key, chunk) group: local sort + cumsum + peer
+    4. ONE exchange (``exchange.co_bucketed``) brings the rows and their
+       prefixes together by (key, chunk); each bucket joins them and
+       finishes every (key, chunk) group: local sort + cumsum + peer
        sharing + prefix add.
 
     No task ever holds more than one chunk of one key (~``chunk_rows``
@@ -1443,7 +1334,7 @@ def partition_running_ranged(
 
     def _canon_key(t: pa.Table) -> pa.Array:
         # null-safe composite key string (same canonicalization contract
-        # as _bucket_ids: the string form is block-stable)
+        # as exchange.bucket_ids: the string form is block-stable)
         parts = []
         for k in keys:
             c = t[k]
@@ -1536,18 +1427,20 @@ def partition_running_ranged(
             }
         )
 
-    prefixes = _bucketed(
+    prefixes = bucketed(
         carry, ["__k"], resolve_buckets(None, n_rows=max(n_rows // 1000, 1)),
         prefix_bucket,
     )
 
-    # (4) hash-join prefixes onto rows, then finish per (key, chunk) group
-    from sqlgrep_ray.stages.enrich import shuffle_join
+    # (4) ONE exchange brings each (key, chunk)'s rows and its prefix row
+    # into the same bucket: join them there, then finish per group
+    from sqlgrep_ray.stages.enrich import join_parts
+    from sqlgrep_ray.stages.exchange import co_bucketed
 
-    joined = shuffle_join(tagged, prefixes, on=["__k", "__c"])
+    kc_cols = ["__k", "__c"]
 
-    def final_bucket(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__b"])
+    def final_bucket(rows: pa.Table, pref: pa.Table) -> pa.Table:
+        g = join_parts(rows, pref, kc_cols, kc_cols, "inner")
         n = g.num_rows
         base = [*dict.fromkeys([*keys, order_col, value_col])]
         if n == 0:
@@ -1604,7 +1497,7 @@ def partition_running_ranged(
         return pa.table(cols)
 
     nb = resolve_buckets(num_buckets, n_rows=n_rows)
-    return _bucketed(joined, ["__k", "__c"], nb, final_bucket)
+    return co_bucketed(tagged, prefixes, kc_cols, kc_cols, final_bucket, nb)
 
 
 # Diagnostics twin of LAST_RESOLVED_BUCKETS: which execution path the most
@@ -1911,7 +1804,7 @@ def global_running_ranged(
     tagged_full = ds.map_batches(
         tag, batch_format="pyarrow", zero_copy_batch=True
     )
-    return _bucketed(tagged_full, ["__c"], nb, final_bucket)
+    return bucketed(tagged_full, ["__c"], nb, final_bucket)
 
 
 def partition_row_number(

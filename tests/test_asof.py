@@ -107,3 +107,54 @@ def test_asof_auto_dispatch_equivalence(ray_session):
     table_side = rows(asof_join_auto(left, _right(), **kw))
     assert broadcast == shuffled == table_side
     assert len(broadcast) == 3
+
+
+def test_asof_forced_shuffle_null_key_list_value(ray_session):
+    """The bucketed path equals the broadcast path on a NULL key and a
+    list-typed value column, for both join kinds."""
+    import ray.data
+
+    from sqlgrep_ray.stages.asof import asof_join_auto
+
+    left = pa.table(
+        {
+            "k": pa.array([1, None, 2, 3, 1], pa.int64()),
+            "ts": pa.array([dt.datetime(2024, 1, d) for d in (2, 3, 6, 7, 25)]),
+        }
+    )
+    right = pa.table(
+        {
+            "k": pa.array([1, 1, None, 2], pa.int64()),
+            "eff": pa.array([dt.datetime(2024, 1, d) for d in (1, 20, 1, 5)]),
+            "val": pa.array(
+                [[1.0], [2.0], [3.0], [4.0]], pa.list_(pa.float32())
+            ),
+        }
+    )
+    kw = dict(
+        left_key="k", left_ts="ts", right_key="k", right_ts="eff",
+        value_cols=["val"],
+    )
+
+    def rows(ds):
+        return sorted(
+            ((r["k"], r["ts"], None if r["val"] is None else list(r["val"]))
+             for r in ds.take_all()),
+            key=repr,
+        )
+
+    for how in ("inner", "left"):
+        small = rows(
+            asof_join_auto(
+                ray.data.from_arrow(left), ray.data.from_arrow(right),
+                how=how, **kw,
+            )
+        )
+        large = rows(
+            asof_join_auto(
+                ray.data.from_arrow(left), ray.data.from_arrow(right),
+                how=how, broadcast_max_rows=0, num_buckets=4, **kw,
+            )
+        )
+        assert small == large
+    assert (None, dt.datetime(2024, 1, 3), None) in large  # LEFT keeps it

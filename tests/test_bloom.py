@@ -45,13 +45,10 @@ def test_forced_false_positives_still_exact(ray_session):
     corpus = _mk(ray, 0, x=list(range(2000)))
     keys = _mk(ray, 0, x=list(range(0, 2000, 400)))
     for bmax in (5_000_000, 0):
-        semi = bloom_semi_join(
-            corpus, keys, "x", fpp=0.5, broadcast_max=bmax, num_partitions=4
-        )
+        semi = bloom_semi_join(corpus, keys, "x", fpp=0.5, broadcast_max=bmax)
         assert sorted(r["x"] for r in semi.take_all()) == list(range(0, 2000, 400))
         anti = bloom_semi_join(
-            corpus, keys, "x", fpp=0.5, keep=False, broadcast_max=bmax,
-            num_partitions=4,
+            corpus, keys, "x", fpp=0.5, keep=False, broadcast_max=bmax
         )
         assert anti.count() == 2000 - 5
 
@@ -89,3 +86,37 @@ def test_build_bloom_no_false_negatives(ray_session):
     h1, h2 = _hash2(pa.chunked_array([pa.array(list(range(100000, 120000)))]))
     fp = _test_bits(bm, h1, h2, k, n_bits).mean()
     assert fp < 0.05
+
+
+def test_forced_distributed_verify_null_key_list_column(ray_session):
+    """broadcast_max=0 (key-bucketed verify) returns the broadcast verify's
+    rows on a corpus with NULL keys and a list column, semi and anti."""
+    import ray.data as rd
+
+    corpus = pa.table(
+        {
+            "s": ["a", None, "b", "c", None, "dd"],
+            "emb": pa.array(
+                [[float(i), 1.0] for i in range(6)], pa.list_(pa.float32())
+            ),
+        }
+    )
+    keys = pa.table({"s": ["b", None, "dd", "zz"]})
+
+    def rows(ds):
+        return sorted(
+            (repr(r["s"]), list(r["emb"])) for r in ds.take_all()
+        )
+
+    for keep in (True, False):
+        small = rows(
+            bloom_semi_join(rd.from_arrow(corpus), rd.from_arrow(keys), "s", keep=keep)
+        )
+        large = rows(
+            bloom_semi_join(
+                rd.from_arrow(corpus), rd.from_arrow(keys), "s", keep=keep,
+                broadcast_max=0,
+            )
+        )
+        assert small == large
+        assert len(small) == (2 if keep else 4)

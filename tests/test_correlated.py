@@ -224,3 +224,36 @@ def test_quantified_comparisons(ray_session):
     # unsupported subquery shapes error clearly
     with pytest.raises(SqlError, match="single-column"):
         parse_query("SELECT x FROM l WHERE x > ALL (SELECT v, v FROM r)")
+
+
+NULL_KEY_CASES = [
+    # a NULL outer key equals no key: the subquery's NULL group must not
+    # join it
+    "SELECT k, v FROM t WHERE v > (SELECT AVG(v) FROM u WHERE u.k = t.k)",
+    # aliased outer and inner tables over the same source
+    "SELECT k, v FROM t t1 WHERE v > "
+    "(SELECT AVG(v) FROM t t2 WHERE t2.k = t1.k)",
+]
+
+
+@pytest.mark.parametrize("broadcast_max", [2_000_000, 0])
+@pytest.mark.parametrize("sql", NULL_KEY_CASES)
+def test_correlated_scalar_null_key_and_alias(
+    ray_session, monkeypatch, sql, broadcast_max
+):
+    """Both the broadcast and the key-bucketed LEFT join (forced with
+    ``_CORR_BROADCAST_MAX = 0``) answer as DuckDB does."""
+    import ray.data
+
+    import sqlgrep_ray.api as api
+    from sqlgrep_ray.api import run_sql
+
+    monkeypatch.setattr(api, "_CORR_BROADCAST_MAX", broadcast_max)
+    t = pa.table({"k": ["a", "a", None, None, "b"], "v": [1, 5, 2, 8, 3]})
+    u = t  # noqa: F841  (read by DuckDB)
+    src = {"t": ray.data.from_arrow(t), "u": ray.data.from_arrow(t)}
+    got = sorted(
+        ((r["k"], r["v"]) for r in run_sql(sql, src).take_all()), key=repr
+    )
+    want = sorted(duckdb.sql(sql).fetchall(), key=repr)
+    assert got == want == [("a", 5)]

@@ -80,3 +80,33 @@ def test_curate_join_fallback_equals_broadcast(ray_session, monkeypatch):
     monkeypatch.setattr(curate_mod, "BROADCAST_IDS_MAX", 0)
     joined = curate_mod.curate(ray.data.from_arrow(docs), **kw).to_pandas()
     assert sorted(small["doc_id"]) == sorted(joined["doc_id"])
+
+
+def test_id_filter_branches_agree_on_null_ids_and_lists(ray_session, monkeypatch):
+    """``_id_filter``'s key-bucketed branch (BROADCAST_IDS_MAX=0) keeps the
+    broadcast branch's rows on a NULL id and a list column, semi and anti."""
+    import ray.data
+    from sqlgrep_ray.pipelines import curate as curate_mod
+
+    left = pa.table(
+        {
+            "doc_id": pa.array([1, None, 3, 4, None, 6], pa.int64()),
+            "emb": pa.array(
+                [[float(i)] for i in range(6)], pa.list_(pa.float32())
+            ),
+        }
+    )
+    ids = pa.table({"doc_id": pa.array([3, None, 6, 9], pa.int64())})
+
+    def rows(keep):
+        out = curate_mod._id_filter(
+            ray.data.from_arrow([left.slice(0, 3), left.slice(3)]),
+            ray.data.from_arrow(ids), "doc_id", keep,
+        )
+        return sorted((repr(r["doc_id"]), list(r["emb"])) for r in out.take_all())
+
+    small = {keep: rows(keep) for keep in (True, False)}
+    monkeypatch.setattr(curate_mod, "BROADCAST_IDS_MAX", 0)
+    large = {keep: rows(keep) for keep in (True, False)}
+    assert small == large
+    assert len(small[True]) == 4 and len(small[False]) == 2

@@ -204,3 +204,46 @@ def test_text_broadcast_vs_join_equivalence(ray_session, monkeypatch):
     key = lambda df: sorted(zip(df["id_a"], df["id_b"]))
     assert key(bcast) == key(joined)
     assert all((i, 60 + i) in key(bcast) for i in range(10))
+
+
+def test_hot_semi_join_and_payload_branches_agree(ray_session, monkeypatch):
+    """HOT_BROADCAST_MAX=0 routes the hot-set semi-join and the payload
+    attach through ``enrich.shuffle_join``; both keep the broadcast rows
+    on a NULL bucket key and a list-typed embedding column."""
+    import ray.data
+
+    bucketed = pa.table(
+        {
+            "bucket": pa.array([5, None, 7, 5, 9, None], pa.int64()),
+            "doc_id": pa.array(np.arange(6, dtype=np.int64)),
+            "emb": pa.array(
+                [[float(i), 0.0] for i in range(6)], pa.list_(pa.float32())
+            ),
+        }
+    )
+    hot = pa.table({"bucket": pa.array([5, None], pa.int64())})
+    payload = pa.table(
+        {
+            "doc_id": pa.array(np.arange(6, dtype=np.int64)),
+            "vec": pa.array([[i, i] for i in range(6)], pa.list_(pa.int64())),
+        }
+    )
+
+    def run():
+        cands = dd._semi_join_hot(
+            ray.data.from_arrow([bucketed.slice(0, 3), bucketed.slice(3)]),
+            ray.data.from_arrow(hot), 2,
+        )
+        joined = dd._attach_payload(
+            cands, ray.data.from_arrow(payload), "doc_id", 4
+        )
+        return sorted(
+            (r["doc_id"], repr(r["bucket"]), list(r["emb"]), list(r["vec"]))
+            for r in joined.take_all()
+        )
+
+    small = run()
+    monkeypatch.setattr(dd, "HOT_BROADCAST_MAX", 0)
+    large = run()
+    assert small == large
+    assert [r[0] for r in small] == [0, 1, 3, 5]
