@@ -8,9 +8,10 @@ dispatch logic in ``pipelines/runner.py`` (cited per line) so the output
 stays honest about shuffles: each window frame = one bucket exchange,
 broadcast joins = zero exchanges, holistic aggregates = one hash
 shuffle + map_groups. Associative aggregates, two-stage COUNT(DISTINCT)
-and SELECT DISTINCT name the runner's merge gate: a driver merge when the
-per-block partials are at most ``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and
-as many 32-byte rows in size, else one hash shuffle per merge (two for two-stage COUNT(DISTINCT)).
+and SELECT DISTINCT name the merge gate (``exchange.merge``): a driver
+merge when the per-block partials are at most
+``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and as many 32-byte rows in size,
+else one bucketed merge (two for two-stage COUNT(DISTINCT)).
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def _explain_plan(plan, out: list, indent: str) -> None:
         if plan.distinct:
             out.append(
                 f"{pad}  distinct: combiner-first hash dedup "
-                f"({_merge_gate(plan, 'one shuffle')})"
+                f"({_merge_gate(plan, 'one bucketed merge')})"
             )
     else:
         assert isinstance(plan, AggregatePlan)
@@ -201,7 +202,7 @@ def _explain_plan(plan, out: list, indent: str) -> None:
             path = (
                 "skew-safe TWO-STAGE distinct (group by (keys, value) "
                 "combiner → group by keys; "
-                f"{_merge_gate(plan, 'two bounded shuffles')})"
+                f"{_merge_gate(plan, 'two bucketed merges')})"
             )
         elif holi:
             path = "HOLISTIC map_groups (whole group per worker, one shuffle)"
@@ -212,7 +213,7 @@ def _explain_plan(plan, out: list, indent: str) -> None:
         else:
             path = (
                 "ASSOCIATIVE combiner-first (per-block partials → "
-                f"{_merge_gate(plan, 'one bounded hash shuffle')})"
+                f"{_merge_gate(plan, 'one bucketed merge')})"
             )
         out.append(f"{pad}  aggregate: keys [{keys}] aggs [{aggs}]")
         out.append(f"{pad}    path: {path}")
@@ -276,8 +277,8 @@ def explain_statement(stmt, out: Optional[list] = None, indent: str = "") -> str
 
 
 def _merge_gate(plan, exchange: str) -> str:
-    """The merge path ``runner._merge_partials`` picks for ``plan``."""
-    from sqlgrep_ray.pipelines.runner import SMALL_MERGE_MAX_PARTIAL_ROWS
+    """The merge path ``exchange.merge`` picks for ``plan``."""
+    from sqlgrep_ray.stages.exchange import SMALL_MERGE_MAX_PARTIAL_ROWS
 
     small = getattr(plan, "small_result", None)
     if small is None:

@@ -411,11 +411,45 @@ def register_function(name: str):
     return deco
 
 
+# Types a ``null``-typed argument may take, after the call's other
+# argument types (see :func:`_compile_func`).
+_NULL_ARG_TYPES = (pa.string(), pa.int64(), pa.float64())
+
+
 def _compile_func(expr: Func, ctx: CompileCtx) -> Kernel:
+    """A function call's kernel. An argument typed ``null`` (a NULL
+    literal, or a block whose column is all NULL) has no kernel in most
+    Arrow functions: it is cast to the parameter's type, the first of the
+    call's other argument types and ``_NULL_ARG_TYPES`` that the function
+    accepts — so NULL goes in, and SQL's answer for NULL comes out."""
     builder = _FUNCS.get(expr.name.lower())
     if builder is None:
         raise ValueError(f"unknown function {expr.name!r}")
-    return builder([compile_expr(a, ctx) for a in expr.args], ctx)
+    args = [compile_expr(a, ctx) for a in expr.args]
+    kernel = builder(args, ctx)
+
+    def k(t: pa.Table) -> Any:
+        try:
+            return kernel(t)
+        except pa.ArrowNotImplementedError:
+            vals = [a(t) for a in args]
+            # a kernel may return a plain Python value, which has no type
+            types = [getattr(v, "type", None) for v in vals]
+            nulls = {i for i, ty in enumerate(types) if ty == pa.null()}
+            if not nulls:
+                raise
+            others = [
+                ty for i, ty in enumerate(types) if ty is not None and i not in nulls
+            ]
+            for typ in dict.fromkeys([*others, *_NULL_ARG_TYPES]):
+                cast = [v.cast(typ) if i in nulls else v for i, v in enumerate(vals)]
+                try:
+                    return builder([lambda _t, v=v: v for v in cast], ctx)(t)
+                except pa.ArrowNotImplementedError:
+                    continue
+            raise
+
+    return k
 
 
 def _simple(fn: Callable[..., Any]):

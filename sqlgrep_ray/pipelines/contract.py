@@ -1974,10 +1974,10 @@ ORDER BY source
 def q_sql_intersect_pairs(sf_dir: str) -> Result:
     """INTERSECT (distinct) through the SQL dialect (round-5 extension;
     the reference dialect has no set operations). Two filtered selects
-    over documents; the engine runs the bounded one-shuffle multiplicity
+    over documents; the engine runs the bounded one-merge multiplicity
     path (runner.run_set_op): per-block pyarrow group_by combiners emit
-    per-side counts, ONE hash-aggregate Sums them per distinct row, a
-    vectorized finisher keeps rows present on both sides."""
+    per-side counts, ONE merge (exchange.merge) sums them per distinct
+    row, a vectorized finisher keeps rows present on both sides."""
     from sqlgrep_ray.api import run_sql
 
     return run_sql(
@@ -4070,7 +4070,7 @@ GROUP BY doc_id HAVING count(*) = 3
 
 def q_connected_components(sf_dir: str) -> Result:
     """Distributed connected components (stages/cc.py — min-label
-    propagation, one hash-join + min-groupby per round, sum-invariant
+    propagation, one hash-join + min-label merge per round, sum-invariant
     convergence): deterministic chain graph over doc ids (doc→doc+1 for
     doc_id%10<4 ⇒ 5-node paths per decade, diameter 4). The DuckDB oracle
     computes the same components with a recursive CTE — integer outputs,
@@ -4342,10 +4342,22 @@ def q_kmeans_clusters(sf_dir: str) -> Result:
     SQL-expressible → rows-only; pytest recovers planted clusters."""
     from sqlgrep_ray.stages.cluster import kmeans
 
+    from sqlgrep_ray.stages import exchange
+
     labeled, _ = kmeans(
         _t(sf_dir, "embeddings", ["vec_id", "embedding"]), k=10, n_iter=8
     )
-    return labeled.groupby("cluster_id").count().sort("cluster_id")
+    counts = labeled.map_batches(
+        lambda t: pa.TableGroupBy(t.select(["cluster_id"]), ["cluster_id"]).aggregate(
+            [([], "count_all")]
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    sizes = exchange.to_table(
+        exchange.merge(counts, ["cluster_id"], [("count_all", "sum")])
+    )
+    return sizes.rename_columns(["cluster_id", "count()"]).sort_by("cluster_id")
 
 
 # ---------------------------------------------------------------------------

@@ -187,13 +187,13 @@ class AggregatePlan:
     #           come to the driver and are merged/finalized/sorted there,
     #           skipping two Ray all-to-all stages (each costs ~75 ms/
     #           input-block of fixed overhead);
-    #   False — high-cardinality keys: the merge runs as a distributed
-    #           ``groupby().aggregate()`` shuffle;
-    #   None (default) — AUTO: the runner materializes the partials and
+    #   False — high-cardinality keys: the partials merge once per bucket
+    #           of the engine's key-hash exchange;
+    #   None (default) — AUTO: the merge materializes the partials and
     #           picks the driver merge only when their row count and size
-    #           are within ``runner.SMALL_MERGE_MAX_PARTIAL_ROWS`` narrow
+    #           are within ``exchange.SMALL_MERGE_MAX_PARTIAL_ROWS`` narrow
     #           rows — they ARE the merge input, so the driver can never be
-    #           fed an unbounded table (``runner._merge_partials``).
+    #           fed an unbounded table (``exchange.merge``).
     small_result: Optional[bool] = None
 
 

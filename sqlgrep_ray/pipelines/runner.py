@@ -4,9 +4,9 @@ The execution layer replacing the reference's per-line push engine
 (``src/execution_engine.rs:136-175``): everything is expressed as
 ``map_batches`` over zero-copy Arrow batches plus one merge of per-block
 combiner partials; the pipeline stays lazy/streaming until a sink or a
-small result consumption. The merge (``_merge_partials``) runs on the
-driver when the partials are few (``SMALL_MERGE_MAX_PARTIAL_ROWS``), else
-as a ``groupby`` shuffle.
+small result consumption. The merge (``exchange.merge``) runs on the
+driver when the partials are few, else once per bucket of the engine's
+key-hash exchange.
 
 Select path  (select_execution.rs:21-57):
     [join] → where-filter → project → [distinct] → [limit]
@@ -54,13 +54,16 @@ from sqlgrep_ray.stages.aggregate import (
     merge_spec,
 )
 from sqlgrep_ray.stages.enrich import BroadcastJoiner
-
-# AUTO merge-path bound (plan.small_result=None): single-block merge only
-# when the combined partial rows fit one task comfortably — 2M narrow rows
-# (32 bytes a row: 64 MB) — beyond that, in rows or in bytes, the merge
-# shuffles (groupby) instead.
-SMALL_MERGE_MAX_PARTIAL_ROWS = 2_000_000
-
+from sqlgrep_ray.stages.exchange import (
+    _block_types,
+    _fix_null_type_cols,
+    _group_merge,
+    _marker,
+    _schema_types,
+    apply,
+    as_dataset,
+    merge,
+)
 
 def _expr_cols(e) -> set:
     """Column names an expression reads."""
@@ -346,10 +349,6 @@ def _apply_where(
 # ---------------------------------------------------------------------------
 
 
-def _marker(i: int) -> str:
-    return f"__kr{i}"
-
-
 def _encode_keys(key_names: list[str]):
     def fn(t: pa.Table) -> pa.Table:
         for i, k in enumerate(key_names):
@@ -384,140 +383,13 @@ def _interleaved(key_names: list[str]) -> list[str]:
     return out
 
 
-def _schema_types(schema) -> dict:
-    """name → pyarrow type for a ray.data.Schema or pyarrow.Schema."""
-    try:
-        return dict(zip(schema.names, schema.types))
-    except Exception:
-        return {f.name: f.type for f in schema}
-
-
-def _fix_null_type_cols(t: pa.Table, target_types: dict) -> pa.Table:
-    """Normalize all-NULL blocks: a block whose column came out as pyarrow
-    ``null`` type (every value None — common for tiny blocks) cannot be
-    null-encoded (`_null_default` has no fill value) and would leak NULLs
-    into a Ray groupby/sort key. Replace such columns with typed all-null
-    arrays from the dataset-level schema; non-null-typed columns are left
-    untouched (no lossy casts)."""
-    for i, c in enumerate(t.column_names):
-        col = t.column(i)
-        if pa.types.is_null(col.type):
-            tt = target_types.get(c)
-            if tt is None or pa.types.is_null(tt):
-                tt = pa.int8()  # every value is NULL everywhere: any type
-            t = t.set_column(i, c, pa.nulls(t.num_rows, tt))
-    return t
-
-
-def _fill_keys(t: pa.Table, keys: list[str]) -> pa.Table:
-    """Fill the NULLs still left in null-encoded ``keys``. They came from a
-    block whose key column was all-NULL and so typed ``null``, which has
-    no fill value; once ``t`` has a real type for it (concatenated with
-    typed blocks, or cast by :func:`_fix_null_type_cols`), they are filled
-    so that their group does not split from the same NULL key filled in
-    other blocks."""
-    for k in keys:
-        col = t[k]
-        d = _null_default(col.type) if col.null_count else None
-        if d is not None:
-            t = t.set_column(t.column_names.index(k), k, pc.fill_null(col, d))
-    return t
-
-
-def _group_merge(t: pa.Table, keys: list[str], spec: list) -> pa.Table:
-    """One ``pa.TableGroupBy`` merge of ``t`` on its null-encoded ``keys``
-    with ``spec`` [(column, "sum" | "min" | "max")], outputs named as their
-    inputs; ``t`` is a concatenation, so its NULL keys are filled first
-    (:func:`_fill_keys`)."""
-    out = pa.TableGroupBy(_fill_keys(t, keys), keys).aggregate(spec)
-    renames = {f"{c}_{kind}": c for c, kind in spec}
-    return out.rename_columns([renames.get(c, c) for c in out.column_names])
-
-
-def _block_types(ds: "ray.data.Dataset") -> dict:
-    """name → pyarrow type unified over the schemas of every block of a
-    materialized ``ds`` (one small task per block). Ray's own schema names
-    the first block's types, so a column typed ``null`` there (every value
-    NULL in that block) stays ``null`` although other blocks type it."""
-
-    def schema_row(t: pa.Table) -> pa.Table:
-        return pa.table({"s": [t.schema.serialize().to_pybytes()]})
-
-    rows = ds.map_batches(schema_row, batch_format="pyarrow", batch_size=None)
-    schemas = [pa.ipc.read_schema(pa.py_buffer(r["s"])) for r in rows.take_all()]
-    if not schemas:
-        return {}
-    return _schema_types(pa.unify_schemas(schemas, promote_options="permissive"))
-
-
-def _merge_partials(
-    partials: "ray.data.Dataset",
-    keys: list[str],
-    spec: list,
-    small: Optional[bool],
-) -> "pa.Table | ray.data.Dataset":
-    """Merge per-block combiner partials on their null-encoded ``keys``
-    (``spec`` as in :func:`_group_merge`) — the engine's one merge gate.
-
-    With ``small`` True, or None and at most SMALL_MERGE_MAX_PARTIAL_ROWS
-    narrow partial rows (no more rows, and no more bytes than that many
-    32-byte rows: wide rows such as SELECT DISTINCT over whole log lines
-    take the exchange), the partials come to the driver and merge in one
-    ``pa.TableGroupBy``; the result is a ``pa.Table``. Otherwise one Ray
-    hash-aggregate exchange merges the materialized partials, after one
-    pass that learns every block's schema (:func:`_block_types`); the
-    result is a Dataset. Ray's
-    all-to-all costs seconds of fixed overhead even on a few hundred rows
-    (1.4 s of the 3 s flagship aggregate, measured) against one
-    object-store read here. Zero input blocks return the empty partials:
-    zero output rows (reference parity — the global group appears on the
-    first row, SURVEY §2.6)."""
-    if not small:
-        # the partials are the merge input either way: materialize them
-        # once and gate on their real row count and size (metadata-only)
-        partials = partials.materialize()
-        if small is None:
-            small = (
-                partials.count() <= SMALL_MERGE_MAX_PARTIAL_ROWS
-                and partials.size_bytes() <= 32 * SMALL_MERGE_MAX_PARTIAL_ROWS
-            )
-    if small:
-        batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
-        if not batches:
-            return partials
-        return _group_merge(
-            pa.concat_tables(batches, promote_options="default"), keys, spec
-        )
-    # the exchange concatenates blocks without the driver's fill: type the
-    # all-NULL (``null``-typed) columns of a block from the other blocks'
-    # schemas and fill their keys first
-    types = _block_types(partials)
-    partials = partials.map_batches(
-        lambda t: _fill_keys(_fix_null_type_cols(t, types), keys),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    from ray.data.aggregate import Count, Max, Min, Sum
-
-    aggs = [
-        {"sum": Sum, "min": Min, "max": Max}[kind](c, alias_name=c, ignore_nulls=True)
-        for c, kind in spec
-    ]
-    if aggs:
-        return partials.groupby(keys).aggregate(*aggs)
-    # Ray's groupby needs one aggregate: a throwaway row count
-    return partials.groupby(keys).aggregate(Count(alias_name="__rows")).map_batches(
-        lambda t: t.drop_columns(["__rows"]), batch_format="pyarrow"
-    )
-
-
 def _finish_groups(
     merged: "pa.Table | ray.data.Dataset",
     finish,
     key_names: list[str],
     sort: bool = True,
 ) -> "ray.data.Dataset":
-    """Finish :func:`_merge_partials` output where it lies: ``finish``
+    """Finish :func:`exchange.merge` output where it lies: ``finish``
     (finalize, HAVING — per-block safe), then the ascending sort on the
     (marker, filled key) pairs — NULL keys first, the reference's BTreeMap
     order (SURVEY §2.6) — then the NULL keys restored. A driver-merged
@@ -593,7 +465,7 @@ def _distinct(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         return parts
     # a partial is the row's columns, then one null marker per column
     cols = schema.names[: len(schema.names) // 2]
-    merged = _merge_partials(parts, _interleaved(cols), [], None)
+    merged = merge(parts, _interleaved(cols), [], None)
     return _finish_groups(merged, None, cols, sort=False)
 
 
@@ -613,12 +485,10 @@ def run_set_op(
     Distributed shape (the 100-TB path): per side, a per-block pyarrow
     ``group_by`` combiner collapses duplicate rows to one row + a count in
     that side's ``__sc{i}`` column, so shuffle bytes are bounded by
-    distinct-rows × k int64s, never input multiplicity; then ONE
-    hash-aggregate shuffle Sums the k count columns per (null-encoded) row;
-    a vectorized finisher maps counts → multiplicity and ``np.repeat``s the
-    row indices. No driver-side materialization anywhere."""
-    from ray.data.aggregate import Sum
-
+    distinct-rows × k int64s, never input multiplicity; then ONE merge
+    (:func:`exchange.merge`) sums the k count columns per (null-encoded)
+    row, on the driver when the partials are few; a vectorized finisher
+    maps counts → multiplicity and ``np.repeat``s the row indices."""
     if op not in ("intersect", "except"):
         raise ValueError(f"run_set_op: unknown op {op!r}")
     k = len(parts)
@@ -643,22 +513,14 @@ def run_set_op(
         return parts[0] if keep_dups else _distinct(parts[0])
 
     enc, res = _encode_keys(cols), _restore_keys(cols)
-    # unified per-column type: first non-null-typed member schema wins
-    # (normalizes all-NULL blocks before null-encoding; see
-    # _fix_null_type_cols)
-    types: dict = {}
-    for s in schemas:
-        if s is None:
-            continue
-        for c, tt in _schema_types(s).items():
-            if c not in types or pa.types.is_null(types[c]):
-                types[c] = tt
     cnt = [f"__sc{i}" for i in range(k)]
     ordered = _interleaved(cols) + cnt
 
     def tagger(side: int):
         def tag(t: pa.Table) -> pa.Table:
-            t = enc(_fix_null_type_cols(t.select(cols), types))
+            # an all-NULL column keeps its ``null`` type here; the merge
+            # types it from the other blocks
+            t = enc(t.select(cols))
             g = t.group_by(t.column_names).aggregate([([], "count_all")])
             n = g.num_rows
             zero = pa.array(np.zeros(n, dtype=np.int64))
@@ -674,9 +536,7 @@ def run_set_op(
         for i, p in live
     ]
     u = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    merged = u.groupby(_interleaved(cols)).aggregate(
-        *[Sum(c, alias_name=c) for c in cnt]
-    )
+    merged = merge(u, _interleaved(cols), [(c, "sum") for c in cnt], None)
 
     def finish(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -701,7 +561,7 @@ def run_set_op(
         idx = np.repeat(np.arange(t.num_rows, dtype=np.int64), mult)
         return res(t.drop_columns(cnt).take(pa.array(idx)))
 
-    return merged.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return as_dataset(apply(merged, finish))
 
 
 # ORDER BY + LIMIT n at or below this runs combiner-first (per-block local
@@ -1112,7 +972,7 @@ def _count_distinct_two_stage(
     2. group by keys: COUNT(DISTINCT) = number of rows whose value marker is
        non-null; associative partials merge once more.
 
-    Stage 1 merges through :func:`_merge_partials`. When it merged on the
+    Stage 1 merges through :func:`exchange.merge`. When it merged on the
     driver, stage 2, finalize, ``having`` and the key sort run there too,
     on one table, and no Aggregate or Sort operator runs; otherwise stage 2
     is a second exchange and a hot key's work is spread over its distinct
@@ -1138,7 +998,7 @@ def _count_distinct_two_stage(
         PartialAggregator(ext_plan, ctx), batch_format="pyarrow", zero_copy_batch=True
     ).map_batches(_encode_keys(ext_keys), batch_format="pyarrow", zero_copy_batch=True)
     spec1 = merge_spec(ext_plan)
-    stage1 = _merge_partials(
+    stage1 = merge(
         partials, _interleaved(ext_keys), spec1, plan.small_result
     )
 
@@ -1165,7 +1025,7 @@ def _count_distinct_two_stage(
     if isinstance(stage1, pa.Table):
         merged2 = block2(stage1)  # over the whole table: the final merge
     else:
-        merged2 = _merge_partials(
+        merged2 = merge(
             stage1.map_batches(block2, batch_format="pyarrow", zero_copy_batch=True),
             stage2_keys, spec2, False,
         )
@@ -1651,12 +1511,12 @@ def _aggregate_groups(
         if agged is not None:
             return agged
     if not is_holistic(plan):
-        # combiner-first: per-block partials, one merge (_merge_partials)
+        # combiner-first: per-block partials, one merge (exchange.merge)
         gm = GroupMerge(plan, ctx)
         partials = ds.map_batches(
             PartialAggregator(plan, ctx), batch_format="pyarrow", zero_copy_batch=True
         ).map_batches(gm.encode, batch_format="pyarrow", zero_copy_batch=True)
-        merged = _merge_partials(partials, gm.keys, gm.spec, plan.small_result)
+        merged = merge(partials, gm.keys, gm.spec, plan.small_result)
         return _finish_groups(merged, gm.finish, key_names)
     having = _having_filter(plan, ctx, key_names)
     if _cd_two_stage_eligible(plan):

@@ -223,24 +223,3 @@ def _refs_of(parsing: Parsing) -> Sequence[RegexRef]:
     if isinstance(parsing, MultiRegex):
         return parsing.refs
     return ()
-
-
-# ---------------------------------------------------------------------------
-# Convenience builders
-# ---------------------------------------------------------------------------
-
-
-def simple_regex_table(
-    name: str,
-    pattern: str,
-    columns: Sequence[tuple[str, VType]],
-    **col_kwargs: Any,
-) -> TableDef:
-    """One pattern, columns bound to groups 1..N in order — the common shape of
-    the reference's testdata defs (e.g. ``testdata/ftpd.txt``)."""
-    pdef = PatternDef("line", pattern, "captures")
-    cols = [
-        ColumnDef(cname, vt, RegexCapture(RegexRef("line", i + 1)))
-        for i, (cname, vt) in enumerate(columns)
-    ]
-    return TableDef(name, [pdef], cols)

@@ -10,10 +10,9 @@ Rebuild of the reference's in-memory group state machine
      **pre-aggregates inside the block** with ``pyarrow.TableGroupBy`` — the
      map-side combiner, so the all-to-all shuffle only moves
      one-row-per-(block, key) partials, not raw rows;
-  2. the partials merge once (sums of sums, min of mins, …): on the driver
-     in one ``pa.TableGroupBy`` when they are few, else in one
-     ``Dataset.groupby(keys).aggregate(...)`` shuffle
-     (``pipelines/runner._merge_partials``);
+  2. the partials merge once (sums of sums, min of mins, …) in
+     ``pa.TableGroupBy``: on the driver when they are few, else once per
+     bucket of the engine's key-hash exchange (``stages/exchange.merge``);
   3. a final ``map_batches`` turns merged partials into results
      (``avg = sum/count`` with INTEGER division for int inputs —
      ``aggregate_execution.rs:473-489``; population variance
@@ -102,12 +101,12 @@ def group_table_null_safe(
     restore: list[str] = []
     for k in keys:
         col = t[k]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
         d = _null_default(col.type)
         if col.null_count == 0 or d is None:
             enc_keys.append(k)
             continue
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
         m = f"__nv_{k}"
         t = t.set_column(
             t.column_names.index(k), k, pc.fill_null(col, d)

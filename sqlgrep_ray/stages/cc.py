@@ -10,8 +10,9 @@ that: every node converges to its component's MINIMUM id.
 Ray-Data shape (the iterative-algorithm pattern, like ``cluster.kmeans``
 but with a shuffle per round because state is per-NODE, not global):
 
-* one round = hash-join labels onto the (undirected) edge list +
-  ``groupby(node).min(label)`` — both sides are (int64, int64) columns;
+* one round = hash-join labels onto the (undirected) edge list + one
+  min-label merge per node (``exchange.merge``) — both sides are
+  (int64, int64) columns;
 * convergence via a monotone invariant: labels only ever decrease, so the
   global label SUM is strictly decreasing until fixpoint — one tiny
   aggregate per round instead of a full old-vs-new join;
@@ -25,7 +26,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Min, Sum
+from ray.data.aggregate import Sum
+
+from sqlgrep_ray.stages import exchange
 
 # Edge lists at or below this many (directed) rows collapse to one
 # vectorized driver-side min-label pass (numpy minimum.at + pointer
@@ -60,8 +63,8 @@ def connected_components(
         )
 
     def fix_schema(t: pa.Table) -> pa.Table:
-        # groupby emits EMPTY blocks with an empty schema; pin every block
-        # to the (n, component) layout the final rename expects
+        # an exchange can emit EMPTY blocks with an empty schema; pin every
+        # block to the (n, component) layout the final rename expects
         if t.num_rows == 0:
             return pa.table(
                 {
@@ -111,12 +114,16 @@ def connected_components(
                 }
             )
         )
-    labels = (
-        und.select_columns(["n"])
-        .groupby("n")
-        .aggregate(Min("n", alias_name="component", ignore_nulls=True))
-        .map_batches(fix_schema, batch_format="pyarrow", zero_copy_batch=True)
-        .materialize()
+    def min_labels(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+        merged = exchange.merge(ds, ["n"], [("component", "min")])
+        return exchange.as_dataset(exchange.apply(merged, fix_schema)).materialize()
+
+    labels = min_labels(
+        und.map_batches(
+            lambda t: pa.table({"n": t["n"], "component": t["n"]}),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
     )
     prev_sum = None
     converged = False
@@ -126,13 +133,7 @@ def connected_components(
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        merged = (
-            labels.union(neigh)
-            .groupby("n")
-            .aggregate(Min("component", alias_name="component", ignore_nulls=True))
-            .map_batches(fix_schema, batch_format="pyarrow", zero_copy_batch=True)
-            .materialize()
-        )
+        merged = min_labels(labels.union(neigh))
         s = merged.aggregate(Sum("component", alias_name="s", ignore_nulls=True))["s"]
         labels = merged
         if prev_sum is not None and s == prev_sum:

@@ -32,6 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from sqlgrep_ray.stages import exchange
 from sqlgrep_ray.stages.textnorm import split_whitespace
 
 # Above this many candidate rows the single-task verify path is replaced by
@@ -44,22 +45,10 @@ AUTO_DISTRIBUTED_THRESHOLD = 200_000
 # distinct buckets would OOM both the merge task and the ray.put broadcast).
 HOT_BROADCAST_MAX = 2_000_000
 
-# Above this many (bucket, partial-count) rows, hot-bucket stats merge via a
-# distributed hash-partitioned shuffle instead of one vectorized driver-side
-# merge (below it, the shuffle is pure task overhead; above it, one task
-# OOMs). Rows are 16 bytes (bucket, count) so the ceiling is ~256 MB of
-# driver heap — measured: the driver merge is 4x faster than the Ray
-# shuffle at 3.2M partials (200k docs x 16 bands), so keep it generous.
-HOT_STATS_SMALL_MAX = 16_000_000
-
 # Candidate-doc payloads (id, text) smaller than this broadcast to every
 # verify task instead of riding a hash join — at 200k docs the join shuffle
 # was ~6 s of pure exchange for a ~20 MB candidate text set.
 TEXT_BROADCAST_MAX_BYTES = 256 * 1024 * 1024
-
-_EMPTY_HOT = pa.table(
-    {"bucket": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-)
 
 # 16-bit popcount LUT (64 KiB, built once per worker process): vectorized
 # Hamming distance over uint64 arrays — numpy < 2.0 has no bitwise_count,
@@ -74,71 +63,35 @@ _POPCOUNT16 = np.array(
 def _hot_buckets(
     bucketed: "ray.data.Dataset",
 ) -> tuple["ray.data.Dataset", int, int]:
-    """Hot-bucket stats, size-aware: ``(hot, n_hot, n_cand)`` where ``hot``
-    is a Dataset of (bucket, n) rows with n ≥ 2.
+    """Hot-bucket stats: ``(hot, n_hot, n_cand)`` where ``hot`` is a
+    Dataset of (bucket, n) rows with n ≥ 2.
 
     Per-block combiner counts first (vectorized ``pa.TableGroupBy``), so
-    only (bucket, partial-count) rows move — never payloads. The merge path
-    is then chosen from the MATERIALIZED partial row count (the same AUTO
-    pattern as the aggregate engine's merge-path choice, ``runner.py``):
-
-    * partials ≤ ``HOT_STATS_SMALL_MAX``: one vectorized driver-side merge
-      (tens of MB of narrow ints — a Ray groupby shuffle here costs seconds
-      of pure task overhead at small scale);
-    * above: a distributed ``groupby(bucket)`` shuffle — per-worker memory
-      is buckets/partitions, never the full distinct-bucket set in one task
-      (the round-2 ``repartition(1)`` scale-killer)."""
+    only (bucket, partial-count) rows move — never payloads — then the
+    engine's one merge (``exchange.merge``): on the driver when the
+    partials are few (a Ray all-to-all there costs seconds of pure task
+    overhead), else bucketed, so per-worker memory is distinct-buckets /
+    buckets, never the full distinct-bucket set in one task (the round-2
+    ``repartition(1)`` scale-killer)."""
 
     def partial_counts(t: pa.Table) -> pa.Table:
         return pa.TableGroupBy(t.select(["bucket"]), ["bucket"]).aggregate(
             [([], "count_all")]
         )
 
+    def hot_rows(t: pa.Table) -> pa.Table:
+        t = t.select(["bucket", "count_all"]).rename_columns(["bucket", "n"])
+        return t.filter(pc.greater_equal(t["n"], 2))
+
     partials = bucketed.map_batches(
         partial_counts, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    n_partials = partials.count()
-    if n_partials <= HOT_STATS_SMALL_MAX:
-        tbls = list(partials.iter_batches(batch_format="pyarrow"))
-        if not tbls:
-            return ray.data.from_arrow(_EMPTY_HOT), 0, 0
-        merged = pa.TableGroupBy(
-            pa.concat_tables(tbls), ["bucket"]
-        ).aggregate([("count_all", "sum")])
-        hot_tbl = merged.filter(pc.greater_equal(merged["count_all_sum"], 2))
-        hot_tbl = hot_tbl.rename_columns(["bucket", "n"])
+    )
+    merged = exchange.merge(partials, ["bucket"], [("count_all", "sum")])
+    if isinstance(merged, pa.Table):
+        hot_tbl = hot_rows(merged)
         n_cand = int(pc.sum(hot_tbl["n"]).as_py() or 0)
         return ray.data.from_arrow(hot_tbl), hot_tbl.num_rows, n_cand
-
-    # distributed merge: hash-partition the narrow partials and merge each
-    # partition vectorized in-task (``pa.TableGroupBy`` + filter >= 2) —
-    # same result as ``groupby("bucket").aggregate(Sum)`` but the per-key
-    # aggregate machinery is amortized into one kernel call per partition
-    # (the ``_grouped_verify`` pattern); per-worker memory is
-    # distinct-buckets / partitions
-    stats_parts = _auto_parts(n_partials)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        part = pc.bit_wise_and(t["bucket"], stats_parts - 1)
-        return t.append_column("__part", pc.cast(part, pa.int64()))
-
-    def merge_part(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return _EMPTY_HOT
-        merged = pa.TableGroupBy(
-            g.select(["bucket", "count_all"]), ["bucket"]
-        ).aggregate([("count_all", "sum")])
-        hot_t = merged.filter(pc.greater_equal(merged["count_all_sum"], 2))
-        return hot_t.rename_columns(["bucket", "n"])
-
-    hot = (
-        partials.map_batches(
-            add_part, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("__part")
-        .map_groups(merge_part, batch_format="pyarrow")
-        .materialize()
-    )
+    hot = exchange.apply(merged, hot_rows).materialize()
     n_hot = hot.count()
     n_cand = int(hot.sum("n") or 0) if n_hot else 0
     return hot, n_hot, n_cand
@@ -360,24 +313,19 @@ def _grouped_verify(
 
 def _distinct_pairs(pairs: "ray.data.Dataset", empty: pa.Table) -> "ray.data.Dataset":
     """Distributed pair dedup: the same (id_a, id_b) surfaces once per
-    colliding band/table — ONE vectorized hash-aggregate shuffle keyed on the
-    pair (extra columns — jaccard/hamming/cosine — are identical across
-    duplicates; Max is a no-op merge). No per-group Python calls.
+    colliding band/table — ONE bucketed merge keyed on the pair (extra
+    columns — jaccard/hamming/cosine — are identical across duplicates;
+    max is a no-op merge), always off the driver (``small=False``).
 
     Measured note (r3): a driver-side small-path variant (materialize +
     pull + one TableGroupBy) was TRIED and reverted — fetching the verify
     stage's many small generator blocks to the driver cost ~15 s at 200k
-    docs, far more than the streamed groupby exchange. Unlike the stats /
+    docs, far more than the exchange. Unlike the stats /
     vocab / textdup AUTO merges (whose partials are per-block combined and
     few), the verify output arrives as many tiny blocks, and pulling them
     serially to one process is the slow path."""
-    from ray.data.aggregate import Max
-
     extra = [c for c in empty.column_names if c not in ("id_a", "id_b")]
-    merged = pairs.groupby(["id_a", "id_b"]).aggregate(
-        *[Max(c, alias_name=c, ignore_nulls=True) for c in extra]
-    )
-    return merged
+    return exchange.merge(pairs, ["id_a", "id_b"], [(c, "max") for c in extra], False)
 
 
 def _attach_payload(
@@ -509,8 +457,8 @@ def _hot_bucket_verify(
     """Run ``verify`` over every bucket that has ≥2 members.
 
     ``bucketed`` must carry every column ``verify`` needs plus ``bucket``.
-    Hot-bucket stats are computed DISTRIBUTED (combiner + one groupby
-    shuffle, ``_hot_buckets``); the path is then chosen from them:
+    Hot-bucket stats are computed combiner-first (per-block counts + one
+    merge, ``_hot_buckets``); the path is then chosen from them:
 
     * local (small candidate set): membership-filter to candidates,
       coalesce to ONE task, loop buckets vectorized — no further shuffle;
@@ -547,7 +495,8 @@ def exact_dedup(
     ds: "ray.data.Dataset", key: str, id_col: str
 ) -> "ray.data.Dataset":
     """Keep exactly one row per distinct ``key`` — the one with MIN ``id_col``
-    (deterministic winner). One shuffle on ``key``."""
+    (deterministic winner); a NULL key is one group of its own. One merge
+    on ``key`` (``exchange.merge``)."""
 
     def block_min(t: pa.Table) -> pa.Table:
         # map-side combine: one candidate per key per block
@@ -556,12 +505,10 @@ def exact_dedup(
     narrow = ds.select_columns([key, id_col]).map_batches(
         block_min, batch_format="pyarrow", zero_copy_batch=True
     )
-    from ray.data.aggregate import Min
-
-    merged = narrow.groupby(key).aggregate(
-        Min(f"{id_col}_min", alias_name=id_col, ignore_nulls=True)
+    merged = exchange.merge(narrow, [key], [(f"{id_col}_min", "min")])
+    return exchange.as_dataset(
+        exchange.apply(merged, lambda t: t.rename_columns([key, id_col]))
     )
-    return merged
 
 
 # ---------------------------------------------------------------------------

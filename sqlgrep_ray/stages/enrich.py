@@ -155,11 +155,6 @@ class BroadcastJoiner:
         return pa.table(cols)
 
 
-def broadcast(table: pa.Table) -> "ray.ObjectRef":
-    """``ray.put`` the build side once; pass the ref to every joiner task/actor."""
-    return ray.put(table)
-
-
 def _unify_null_keys(a: pa.Table, a_keys, b: pa.Table, b_keys):
     """A key column typed ``null`` (a part whose keys are all NULL) takes
     the other side's key type, so the probe's dtypes line up."""

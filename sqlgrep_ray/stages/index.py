@@ -12,8 +12,8 @@ queries from it. Composes existing engine pieces:
   sublists, never from raw rows.
 * **search** — terms are a SMALL set: filter the index to them (pushed to
   the read when the index is parquet), explode postings back to
-  (doc, term) pairs, and one ``groupby(doc).count()`` keeps docs matching
-  ALL terms (AND) or ANY (OR). No driver-side posting materialization.
+  (doc, term) pairs, and one merge of per-block match counts per doc
+  (``exchange.merge``) keeps docs matching ALL terms (AND) or ANY (OR).
 
 ``df`` (document frequency) rides along for IDF-style ranking and lets
 callers drop stopword tokens (``max_df``) before search.
@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from sqlgrep_ray.stages import exchange
 from sqlgrep_ray.stages.textnorm import split_whitespace
 
 
@@ -146,21 +147,23 @@ def ranked_search(
     """Top-``k`` docs for the term set, ranked by (matched terms desc,
     summed term frequency desc, doc id asc) — an integer-only ranking
     (deterministic and oracle-comparable, unlike float tf-idf scores).
-    Distributed: filter to the term rows, one groupby(doc) aggregate,
-    sort + limit."""
-    from ray.data.aggregate import Count, Sum
-
+    Combiner-first: filter to the term rows and count them per doc in
+    each block, one merge per doc (``exchange.merge``), sort + limit."""
     term_set = pa.array(sorted(set(terms)))
 
     def hit(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["token"], value_set=term_set))
+        t = t.filter(pc.is_in(t["token"], value_set=term_set))
+        return (
+            pa.TableGroupBy(t, [id_col])
+            .aggregate([([], "count_all"), ("tf", "sum")])
+            .rename_columns([id_col, "n_matched", "sum_tf"])
+        )
 
-    per_doc = (
-        tok_tf.map_batches(hit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(id_col)
-        .aggregate(
-            Count(alias_name="n_matched"),
-            Sum("tf", alias_name="sum_tf", ignore_nulls=True),
+    per_doc = exchange.as_dataset(
+        exchange.merge(
+            tok_tf.map_batches(hit, batch_format="pyarrow", zero_copy_batch=True),
+            [id_col],
+            [("n_matched", "sum"), ("sum_tf", "sum")],
         )
     )
     return per_doc.sort(
@@ -175,8 +178,8 @@ def search_index(
     id_col: str = "doc_id",
 ) -> "ray.data.Dataset":
     """Doc ids matching the term set: ``mode="and"`` requires every term,
-    ``"or"`` any. Distributed end-to-end — postings explode back to
-    (doc, term) pairs and one groupby counts matches per doc."""
+    ``"or"`` any. Postings explode back to (doc, term) pairs, counted per
+    doc in each block, and one merge (``exchange.merge``) sums the counts."""
     if mode not in ("and", "or"):
         raise ValueError("mode must be 'and' or 'or'")
     term_set = pa.array(sorted(set(terms)))
@@ -187,14 +190,14 @@ def search_index(
         postings = hit["postings"]
         if isinstance(postings, pa.ChunkedArray):
             postings = postings.combine_chunks()
-        flat = postings.flatten()
-        return pa.table({id_col: flat})
+        flat = pa.table({id_col: postings.flatten()})
+        return pa.TableGroupBy(flat, [id_col]).aggregate([([], "count_all")])
 
     pairs = index.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-    counts = pairs.groupby(id_col).count()
+    counts = exchange.merge(pairs, [id_col], [("count_all", "sum")])
     need = n_terms if mode == "and" else 1
 
     def keep(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater_equal(t["count()"], need)).select([id_col])
+        return t.filter(pc.greater_equal(t["count_all"], need)).select([id_col])
 
-    return counts.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange.as_dataset(exchange.apply(counts, keep))

@@ -9,7 +9,7 @@ smoothing, trained ON the data by the same engine). No reference analogue.
 Ray-Data shape:
 
 * **train** is the vocab pattern (``stages/vocab.py``): per-block trigram
-  ``value_counts`` combine → one vocabulary-bounded ``groupby.sum`` → the
+  ``value_counts`` combine → one vocabulary-bounded ``exchange.merge`` → the
   model (sorted code + count arrays, ≤ 2^24 entries, practically ~10⁴) is
   collected once and broadcast via ``ray.put``;
 * **score** is one stateless ``map_batches``: byte-trigram codes per
@@ -30,6 +30,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+from sqlgrep_ray.stages import exchange
 
 _V = 1 << 24  # smoothing vocabulary: all byte trigrams
 
@@ -75,8 +77,6 @@ def train_char_lm(
     """Byte-trigram counts over the reference corpus: ``(sorted codes,
     counts, total)``. Distributed combiner-first; the collected model is
     vocabulary-bounded (≤ 2^24 rows, in practice far smaller)."""
-    from ray.data.aggregate import Sum
-
     def block(t: pa.Table) -> pa.Table:
         col = t[text_col]
         if isinstance(col, pa.ChunkedArray):
@@ -89,16 +89,12 @@ def train_char_lm(
         uniq, cnt = np.unique(codes, return_counts=True)
         return pa.table({"code": pa.array(uniq), "count": pa.array(cnt)})
 
-    agg = (
-        ds.select_columns([text_col])
-        .map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("code")
-        .aggregate(Sum("count", alias_name="count", ignore_nulls=True))
+    partials = ds.select_columns([text_col]).map_batches(
+        block, batch_format="pyarrow", zero_copy_batch=True
     )
-    tbls = list(agg.iter_batches(batch_format="pyarrow"))
-    if not tbls:
+    t = exchange.to_table(exchange.merge(partials, ["code"], [("count", "sum")]))
+    if t is None:
         return np.array([], dtype=np.int32), np.array([], dtype=np.int64), 0
-    t = pa.concat_tables(tbls)
     codes = t["code"].to_numpy(zero_copy_only=False)
     counts = t["count"].to_numpy(zero_copy_only=False)
     order = np.argsort(codes)

@@ -62,16 +62,6 @@ class FakeCodec:
         return bytes(out[:n])
 
 
-class RealCodec:
-    """Real decoder — requires Pillow / soundfile, absent here."""
-
-    def __init__(self) -> None:
-        raise NotImplementedError(
-            "image/audio codecs are not installed in this environment; "
-            "use FakeCodec for plumbing tests or install Pillow/soundfile"
-        )
-
-
 class DecodeAndFeaturize:
     """Actor-pool stage: binary payload → features.
 

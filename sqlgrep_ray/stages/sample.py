@@ -25,6 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from sqlgrep_ray.stages import exchange
+
 _KNUTH = np.uint64(2654435761)
 _MOD = np.uint64(1 << 32)
 
@@ -90,8 +92,9 @@ def mixture_sample(
     stratum toward a target ROW COUNT (the domain-reweighting step of
     recipes like DoReMi — "2 parts web, 1 part code" expressed as counts).
 
-    One tiny ``groupby(stratum).count()`` (output = strata cardinality,
-    never the corpus) yields per-stratum rates ``min(1, target/n)``; the
+    Per-block stratum counts and one tiny merge (``exchange.merge``; output
+    = strata cardinality, never the corpus) yield per-stratum rates
+    ``min(1, target/n)``; the
     sample itself is the streaming :func:`stratified_sample` filter — the
     payload never shuffles. Rates are single float64 divisions, so the
     selection is expressible exactly in SQL (the driver oracle replays
@@ -101,11 +104,19 @@ def mixture_sample(
 
     Returns ``(sampled dataset, realized per-stratum rates)``.
     """
-    counted = ds.groupby(stratum_col).count().take_all()
+    def block_counts(t: pa.Table) -> pa.Table:
+        return pa.TableGroupBy(t, [stratum_col]).aggregate([([], "count_all")])
+
+    partials = ds.select_columns([stratum_col]).map_batches(
+        block_counts, batch_format="pyarrow", zero_copy_batch=True
+    )
+    counted = exchange.to_table(
+        exchange.merge(partials, [stratum_col], [("count_all", "sum")])
+    )
     rates = {
-        r[stratum_col]: min(1.0, targets[r[stratum_col]] / r["count()"])
-        for r in counted
-        if r[stratum_col] in targets and r["count()"]
+        r[stratum_col]: min(1.0, targets[r[stratum_col]] / r["count_all"])
+        for r in (counted.to_pylist() if counted is not None else [])
+        if r[stratum_col] in targets and r["count_all"]
     }
     return stratified_sample(ds, id_col, stratum_col, rates), rates
 

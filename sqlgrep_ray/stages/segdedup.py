@@ -11,9 +11,9 @@ Dataflow (two passes, payload never shuffles):
 
 1. count pass — split each text on ``sep`` (regex), hash each segment
    (blake2b-64 once per UNIQUE segment per block via dictionary-encode),
-   per-block combine to (seg_hash, count), then a size-aware merge: one
-   driver ``TableGroupBy`` at or below ``SEG_SMALL_MAX`` partial rows, a
-   distributed ``groupby(seg_hash)`` above (the engine-wide AUTO pattern);
+   per-block combine to (seg_hash, count), then the engine's one merge
+   (``exchange.merge``: on the driver when the partials are few, else
+   bucketed);
 2. scrub pass — the "hot" hash set (count ≥ ``min_count``) broadcasts via
    ``ray.put`` (it is bounded by the number of DISTINCT repeated segments,
    not the corpus; gated by ``SEG_BROADCAST_MAX``), and one ``map_batches``
@@ -35,8 +35,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-# (seg_hash, partial-count) rows at or below this merge on the driver
-SEG_SMALL_MAX = 8_000_000
+from sqlgrep_ray.stages import exchange
+
 # refuse to broadcast a hot-segment hash set above this many entries —
 # 8 bytes each, 128 MB; corpora with more distinct boilerplate than this
 # need the join-based variant (raise min_count or pre-bucket)
@@ -111,52 +111,22 @@ def segment_dedup(
 
     partials = ds.select_columns([text_col]).map_batches(
         count_partials, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
+    )
 
-    if partials.count() <= SEG_SMALL_MAX:
-        tbls = list(partials.iter_batches(batch_format="pyarrow"))
-        if tbls:
-            merged = (
-                pa.TableGroupBy(pa.concat_tables(tbls), ["seg"])
-                .aggregate([("cnt", "sum")])
-                .rename_columns(["seg", "cnt"])
-            )
-        else:
-            merged = pa.table(
-                {"seg": pa.array([], pa.int64()),
-                 "cnt": pa.array([], pa.int64())}
-            )
-        hot_tbl = merged.filter(pc.greater_equal(merged["cnt"], min_count))
-        hot_arr = hot_tbl["seg"].combine_chunks()
-    else:
-        from ray.data.aggregate import Sum
+    def hot_segs(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t["cnt"], min_count)).select(["seg"])
 
-        counts = partials.groupby("seg").aggregate(
-            Sum("cnt", alias_name="cnt", ignore_nulls=True)
+    merged = exchange.merge(partials, ["seg"], [("cnt", "sum")])
+    hot = exchange.to_table(exchange.apply(merged, hot_segs))
+    hot_arr = (
+        hot["seg"].combine_chunks() if hot is not None else pa.array([], pa.int64())
+    )
+    if len(hot_arr) > SEG_BROADCAST_MAX:
+        raise ValueError(
+            f"segment_dedup: {len(hot_arr)} distinct repeated segments exceed "
+            f"the broadcast budget ({SEG_BROADCAST_MAX}); raise "
+            "min_count or pre-partition the corpus"
         )
-        hot_ds = counts.map_batches(
-            lambda t: t.filter(pc.greater_equal(t["cnt"], min_count)).select(
-                ["seg"]
-            )
-            if t.num_rows
-            else pa.table({"seg": pa.array([], pa.int64())}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).materialize()
-        n_hot = hot_ds.count()
-        if n_hot > SEG_BROADCAST_MAX:
-            raise ValueError(
-                f"segment_dedup: {n_hot} distinct repeated segments exceed "
-                f"the broadcast budget ({SEG_BROADCAST_MAX}); raise "
-                "min_count or pre-partition the corpus"
-            )
-        h_tbls = list(hot_ds.iter_batches(batch_format="pyarrow"))
-        hot_arr = (
-            pa.concat_tables(h_tbls)["seg"].combine_chunks()
-            if h_tbls
-            else pa.array([], pa.int64())
-        )
-
     hot_ref = ray.put(hot_arr)
 
     def scrub(t: pa.Table, hot_ref=None) -> pa.Table:

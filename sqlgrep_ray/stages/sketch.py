@@ -63,10 +63,6 @@ def _regs_from_hashes(h: np.ndarray, p: int) -> np.ndarray:
     return regs
 
 
-def _block_registers(values: pa.Array, p: int) -> np.ndarray:
-    return _regs_from_hashes(_hash64(values), p)
-
-
 def _estimate(regs: np.ndarray, p: int) -> int:
     m = 1 << p
     est = _alpha(m) * m * m / np.sum(np.exp2(-regs.astype(np.float64)))

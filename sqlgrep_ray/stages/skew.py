@@ -8,14 +8,14 @@ at most ``num_blocks`` partial rows to the shuffle, the same as any other
 key. Explicit salting is needed only where a whole group must be SEEN by one
 task — the holistic aggregates:
 
-* ``salted_count_distinct`` — two-stage groupby ((keys, value) → keys);
-  exact, no single reducer ever holds a hot group's raw rows;
+* ``salted_count_distinct`` — two merges ((keys, value) → keys, each an
+  ``exchange.merge``); exact, no single task holds a hot group's raw rows;
 * ``salted_array_agg`` — phase 1 groups on (keys, salt) and collects sorted
   sublists, phase 2 merges the ≤``salt`` sublists per key; a hot key's rows
   are spread over ``salt`` reducers. Output order is ascending (the engine's
   documented array_agg order).
 
-Both compose from plain Ray Data groupbys — no custom shuffle.
+``salted_array_agg`` composes from plain Ray Data ``map_groups``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from sqlgrep_ray.stages import exchange
+from sqlgrep_ray.stages.aggregate import group_table_null_safe
 
 
 def salted_count_distinct(
@@ -45,8 +48,6 @@ def salted_count_distinct(
     narrow = ds.select_columns(keys + [col])
 
     def block_dedup(t: pa.Table) -> pa.Table:
-        from sqlgrep_ray.stages.aggregate import group_table_null_safe
-
         # null-safe: a nullable string value among int keys would hit
         # pyarrow's duplicate-group bug (harmless here — partials — but free
         # to avoid)
@@ -56,19 +57,20 @@ def salted_count_distinct(
         block_dedup, batch_format="pyarrow", zero_copy_batch=True
     )
     # global dedup of (keys, col), then count per key — both combiner-first
-    stage1 = deduped.groupby(keys + [col]).count()
+    stage1 = exchange.merge(deduped, keys + [col], [])
 
     def block_count(t: pa.Table) -> pa.Table:
-        return pa.TableGroupBy(t.select(keys), keys).aggregate([([], "count_all")])
+        return group_table_null_safe(t.select(keys), keys, [([], "count_all")])
 
-    from ray.data.aggregate import Sum
-
-    counted = (
-        stage1.map_batches(block_count, batch_format="pyarrow")
-        .groupby(keys)
-        .aggregate(Sum("count_all", alias_name=alias, ignore_nulls=True))
+    counted = exchange.merge(
+        exchange.apply(stage1, block_count), keys, [("count_all", "sum")]
     )
-    return counted
+    return exchange.as_dataset(
+        exchange.apply(
+            counted,
+            lambda t: t.select(keys + ["count_all"]).rename_columns(keys + [alias]),
+        )
+    )
 
 
 def salted_array_agg(

@@ -14,10 +14,14 @@ the rest of the engine and scale-safe by construction:
 1. per-block combine: (gram_hash, doc_id) → occurrence count
    (``pa.TableGroupBy``, vectorized) — only fixed-width int pairs leave the
    block, never text;
-2. ``groupby(gram_hash, doc_id).Sum`` — global per-doc gram counts;
-3. one gram-bucketed pass (``exchange.bucketed``): each bucket sums its
-   grams' total occurrences and flags grams with total ≥ 2, then ONE
-   ``groupby(doc_id)`` sums duplicate vs total occurrences.
+2. one merge on (gram_hash, doc_id) — global per-doc gram counts;
+3. per gram: the gram's total occurrences, and a flag on grams with
+   total ≥ 2 — in one gram-bucketed pass (``exchange.bucketed``), or on
+   the driver when step 2 merged there; then one merge on doc_id sums
+   duplicate vs total occurrences.
+
+Both merges are the engine's one merge gate (``exchange.merge``): on the
+driver when the partials are few, else bucketed.
 
 Output: (doc_id, dup_grams, total_grams) — integers, so the DuckDB oracle
 (string shingles via list lambdas) matches hash-exactly.
@@ -32,13 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from sqlgrep_ray.stages.exchange import bucketed
-
-# (gram, doc, count) partial rows at or below this merge on the driver
-# (three int64 columns -> ~192 MB at the ceiling); above it the
-# distributed groupby/join dataflow runs. Same AUTO pattern as the
-# aggregate engine, vocab, and connected components.
-TEXTDUP_SMALL_MAX = 8_000_000
+from sqlgrep_ray.stages import exchange
 
 
 def _gram_hashes(text: str, k: int) -> np.ndarray:
@@ -59,7 +57,7 @@ def _gram_hashes(text: str, k: int) -> np.ndarray:
         out[i] = int.from_bytes(
             hashlib.blake2b(s.encode(), digest_size=8).digest(),
             "little",
-            signed=True,  # signed: Ray groupby keys stay Arrow-native
+            signed=True,  # same bits as the int64 merge keys
         )
     return out
 
@@ -74,8 +72,6 @@ def duplicate_ngram_stats(
     k-gram occurrences, ``dup_grams`` belong to grams seen ≥ 2 times in the
     whole corpus. ``dup_grams / total_grams`` is the duplicate-span
     fraction; filter or down-weight above a threshold."""
-    from ray.data.aggregate import Sum
-
     from sqlgrep_ray.stages.window import resolve_buckets
 
     def explode(t: pa.Table) -> pa.Table:
@@ -127,60 +123,11 @@ def duplicate_ngram_stats(
 
     pairs = ds.select_columns([id_col, text_col]).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-
-    # size-aware AUTO (the aggregate/vocab/cc pattern): the whole dataflow
-    # below is two narrow-int hash aggregates + one bucketed pass — at small
-    # partial counts that is 3 all-to-alls of pure fixed overhead for
-    # milliseconds of actual work, so merge on the driver instead
-    if pairs.count() <= TEXTDUP_SMALL_MAX:
-        tbls = list(pairs.iter_batches(batch_format="pyarrow"))
-        if not tbls:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        id_col: pa.array([], pa.int64()),
-                        "dup_grams": pa.array([], pa.int64()),
-                        "total_grams": pa.array([], pa.int64()),
-                    }
-                )
-            )
-        t = pa.concat_tables(tbls)
-        per_doc_t = (
-            pa.TableGroupBy(t, ["gram", id_col])
-            .aggregate([("cnt", "sum")])
-            .rename_columns(["gram", id_col, "cnt"])
-        )
-        totals_t = (
-            pa.TableGroupBy(per_doc_t.select(["gram", "cnt"]), ["gram"])
-            .aggregate([("cnt", "sum")])
-            .rename_columns(["gram", "total"])
-        )
-        pos = pc.index_in(per_doc_t["gram"], value_set=totals_t["gram"])
-        total = totals_t["total"].take(pos)
-        dup = pc.if_else(
-            pc.greater_equal(total, 2),
-            per_doc_t["cnt"],
-            pa.scalar(0, pa.int64()),
-        )
-        per_doc_t = per_doc_t.append_column("dup", dup)
-        out_t = (
-            pa.TableGroupBy(per_doc_t.select([id_col, "dup", "cnt"]), [id_col])
-            .aggregate([("dup", "sum"), ("cnt", "sum")])
-            .rename_columns([id_col, "dup_grams", "total_grams"])
-        )
-        return ray.data.from_arrow(out_t)
-
-    # global per-(gram, doc) counts — ONE vectorized hash shuffle; pinned,
-    # so the bucket count below reads its row count for free
-    per_doc = (
-        pairs.groupby(["gram", id_col])
-        .aggregate(Sum("cnt", alias_name="cnt", ignore_nulls=True))
-        .materialize()
     )
+    per_doc = exchange.merge(pairs, ["gram", id_col], [("cnt", "sum")])
 
-    # one gram-bucketed pass: a bucket holds every row of its grams, so the
-    # per-gram totals and the flags finish in-task (no totals join)
+    # a gram's rows are all in one table (the driver's, or one bucket), so
+    # the per-gram totals and the flags finish there (no totals join)
     def flag(g: pa.Table) -> pa.Table:
         totals_t = pa.TableGroupBy(
             g.select(["gram", "cnt"]), ["gram"]
@@ -192,9 +139,19 @@ def duplicate_ngram_stats(
         )
         return pa.table({id_col: g[id_col], "cnt": g["cnt"], "dup": dup})
 
-    flagged = bucketed(per_doc, "gram", resolve_buckets(None, per_doc), flag)
-    out = flagged.groupby(id_col).aggregate(
-        Sum("dup", alias_name="dup_grams", ignore_nulls=True),
-        Sum("cnt", alias_name="total_grams", ignore_nulls=True),
+    if isinstance(per_doc, pa.Table):
+        flagged = flag(per_doc)
+    else:
+        per_doc = per_doc.materialize()  # the bucket count reads its rows
+        flagged = exchange.bucketed(
+            per_doc, "gram", resolve_buckets(None, per_doc), flag
+        )
+    out = exchange.merge(flagged, [id_col], [("dup", "sum"), ("cnt", "sum")])
+    return exchange.as_dataset(
+        exchange.apply(
+            out,
+            lambda t: t.select([id_col, "dup", "cnt"]).rename_columns(
+                [id_col, "dup_grams", "total_grams"]
+            ),
+        )
     )
-    return out

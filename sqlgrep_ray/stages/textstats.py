@@ -19,7 +19,6 @@ All outputs append columns; nothing materializes the dataset.
 from __future__ import annotations
 
 import hashlib
-import re
 from typing import Optional
 
 import numpy as np
@@ -29,10 +28,9 @@ import ray.data
 
 from sqlgrep_ray.stages.textnorm import split_whitespace
 
-# BPE-ish piece splitter: word-with-leading-space pieces, numbers, punct runs
-_BPE_RE = re.compile(r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9]+")
-# re2 variant for Arrow kernels: re2's \s is ASCII-only, python's is unicode —
-# add \pZ (unicode separators) to the negated class for parity
+# BPE-ish piece splitter for Arrow kernels (re2): word pieces, numbers and
+# punctuation runs; re2's \s is ASCII-only, so \pZ (unicode separators)
+# joins the negated class
 _BPE_RE2 = r"[A-Za-z]+|[0-9]+|[^\sA-Za-z0-9\pZ]+"
 
 _STOPWORDS = frozenset(

@@ -53,11 +53,6 @@ def _local_topk(
     return t.filter(pa.array(rank < k))
 
 
-# AUTO merge-path bound: single-block final merge only while the surviving
-# candidates (≤ k × groups_per_block per block) fit one task comfortably.
-SMALL_MERGE_MAX_CAND_ROWS = 2_000_000
-
-
 def grouped_topk(
     ds: "ray.data.Dataset",
     keys: Sequence[str],
@@ -72,10 +67,11 @@ def grouped_topk(
     group, then the survivors merge.
 
     Merge path: ``distributed=None`` (default) counts the surviving
-    candidates and picks automatically — one-block merge while they fit one
-    task, else a key-hash bucket shuffle (``groupby`` on a deterministic
-    64-bit hash of the key tuple mod ``num_buckets``) so each of the
-    ``num_buckets`` merge tasks runs the same vectorized rank-mask over its
+    candidates (≤ k × groups_per_block per block) and picks automatically —
+    one-block merge while they are within the merge gate's row bound
+    (``exchange.SMALL_MERGE_MAX_PARTIAL_ROWS``), else a key-hash bucket
+    shuffle (``exchange.bucketed``) so each of the ``num_buckets`` merge
+    tasks runs the same vectorized rank-mask over its
     co-located groups; per-worker memory is candidates/num_buckets, never
     k × |groups| (the round-1 single-block scale-killer).
     ``num_buckets=None`` auto-sizes from the surviving-candidate count
@@ -85,17 +81,17 @@ def grouped_topk(
     def block(t: pa.Table) -> pa.Table:
         return _local_topk(t, keys, score_col, tie_col, k)
 
+    from sqlgrep_ray.stages.exchange import SMALL_MERGE_MAX_PARTIAL_ROWS, bucketed
+    from sqlgrep_ray.stages.window import resolve_buckets
+
     cands = ds.map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
     cand_count = None
     if distributed is None:
         cands = cands.materialize()  # narrow: combiner already ran
         cand_count = cands.count()
-        distributed = cand_count > SMALL_MERGE_MAX_CAND_ROWS
+        distributed = cand_count > SMALL_MERGE_MAX_PARTIAL_ROWS
     if not distributed:
         return cands.repartition(1).map_batches(block, batch_format="pyarrow")
-
-    from sqlgrep_ray.stages.exchange import bucketed
-    from sqlgrep_ray.stages.window import resolve_buckets
 
     num_buckets = resolve_buckets(num_buckets, cands, n_rows=cand_count)
 

@@ -9,8 +9,8 @@ reference (aggregation there is per-group scalar state,
    per batch turns a text block into its local (token, count) table — the
    shuffle then carries at most the block's distinct-token set, never the
    token stream;
-2. ``groupby(token).sum(count)`` — the only all-to-all, over (string,
-   int64) pairs bounded by vocabulary size;
+2. one merge of the (token, count) partials (``exchange.merge``: on the
+   driver when they are few, else bucketed), bounded by vocabulary size;
 3. top-k: per-block local top-k (sort by count desc, token asc) before a
    one-block final merge — candidates ≤ k per block, the grouped-topk
    pattern (``stages/topk.py``) with a constant key.
@@ -25,15 +25,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from sqlgrep_ray.stages import exchange
 from sqlgrep_ray.stages.textnorm import split_whitespace
-from ray.data.aggregate import Sum
-
-# (token, partial-count) rows below this merge vectorized on the driver
-# (~100 MB of short strings + int64 at the ceiling); above it the merge is
-# the distributed groupby shuffle — the AUTO pattern shared with the
-# aggregate engine and dedup hot-stats (a Ray all-to-all costs seconds of
-# fixed overhead, ruinous when the vocabulary fits one table)
-VOCAB_SMALL_MAX = 4_000_000
 
 
 def token_frequencies(
@@ -64,24 +57,10 @@ def token_frequencies(
 
     partials = ds.select_columns([text_col]).map_batches(
         block_counts, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    if partials.count() <= VOCAB_SMALL_MAX:
-        tbls = list(partials.iter_batches(batch_format="pyarrow"))
-        if not tbls:
-            merged = pa.table(
-                {"token": pa.array([], pa.string()),
-                 "count": pa.array([], pa.int64())}
-            )
-        else:
-            g = pa.TableGroupBy(
-                pa.concat_tables(tbls), ["token"]
-            ).aggregate([("count", "sum")])
-            merged = g.rename_columns(["token", "count"])
-        counts = ray.data.from_arrow(merged)
-    else:
-        counts = partials.groupby("token").aggregate(
-            Sum("count", alias_name="count", ignore_nulls=True)
-        )
+    )
+    counts = exchange.as_dataset(
+        exchange.merge(partials, ["token"], [("count", "sum")])
+    )
     if min_count > 1:
         counts = counts.map_batches(
             lambda t: t.filter(pc.greater_equal(t["count"], min_count)),

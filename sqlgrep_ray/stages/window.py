@@ -44,6 +44,7 @@ import ray.data
 from sqlgrep_ray.functions.exprs import Col
 from sqlgrep_ray.pipelines.plan import AggItem, AggregatePlan, GroupKey
 from sqlgrep_ray.pipelines.runner import run_plan
+from sqlgrep_ray.stages import exchange
 from sqlgrep_ray.stages.exchange import _as_keys, bucketed
 
 
@@ -1230,7 +1231,8 @@ def partition_running_ranged(
     1. chunk id = a pure function of the order value (value-range bins
        sized from one cheap min/max pass), so SQL RANGE peers — rows tied
        on ``order_col`` — can never straddle a chunk boundary;
-    2. per-(key, chunk) totals via one NARROW aggregate (no payload);
+    2. per-(key, chunk) totals via one NARROW merge (``exchange.merge``,
+       no payload);
     3. per-key EXCLUSIVE prefixes over chunk totals via one tiny bucketed
        pass (carry rows only: keys × touched-chunks);
     4. ONE exchange (``exchange.co_bucketed``) brings the rows and their
@@ -1266,7 +1268,7 @@ def partition_running_ranged(
             keep_cols=None, num_buckets=num_buckets,
         )
 
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     sch = ds.schema()
     otype = dict(zip(sch.names, sch.types))[order_col]
@@ -1362,8 +1364,8 @@ def partition_running_ranged(
 
     tagged = narrow.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
 
-    # (2) per-(key, chunk) totals — narrow: batch-local combine, then a
-    # small global aggregate over at most keys × 4097 rows
+    # (2) per-(key, chunk) totals — narrow: batch-local combine, then one
+    # merge over at most keys × 4097 rows
     def partials(t: pa.Table) -> pa.Table:
         import pandas as pd
 
@@ -1385,13 +1387,13 @@ def partition_running_ranged(
         g = df.groupby(["__k", "__c"], sort=False, dropna=False).sum().reset_index()
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    carry = (
-        tagged.select_columns(["__k", "__c", value_col])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["__k", "__c"])
-        .aggregate(
-            Sum("__s", alias_name="__s", ignore_nulls=True),
-            Sum("__n", alias_name="__n", ignore_nulls=True),
+    carry = exchange.as_dataset(
+        exchange.merge(
+            tagged.select_columns(["__k", "__c", value_col]).map_batches(
+                partials, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["__k", "__c"],
+            [("__s", "sum"), ("__n", "sum")],
         )
     )
 
@@ -1435,7 +1437,6 @@ def partition_running_ranged(
     # (4) ONE exchange brings each (key, chunk)'s rows and its prefix row
     # into the same bucket: join them there, then finish per group
     from sqlgrep_ray.stages.enrich import join_parts
-    from sqlgrep_ray.stages.exchange import co_bucketed
 
     kc_cols = ["__k", "__c"]
 
@@ -1497,7 +1498,7 @@ def partition_running_ranged(
         return pa.table(cols)
 
     nb = resolve_buckets(num_buckets, n_rows=n_rows)
-    return co_bucketed(tagged, prefixes, kc_cols, kc_cols, final_bucket, nb)
+    return exchange.co_bucketed(tagged, prefixes, kc_cols, kc_cols, final_bucket, nb)
 
 
 # Diagnostics twin of LAST_RESOLVED_BUCKETS: which execution path the most
@@ -1603,7 +1604,7 @@ def global_running_ranged(
     else:  # string/other order: no range binning — documented contract
         return one_task()
 
-    from ray.data.aggregate import Max, Min, Sum
+    from ray.data.aggregate import Max, Min
 
     def oview(t: pa.Table) -> pa.Table:
         c = t[order_col]

@@ -17,7 +17,8 @@ scheme (Schleimer/Wilkerson/Aiken, SIGMOD 2003 — the MOSS algorithm):
 ``winnow_fingerprints`` emits one row per (doc, selected fingerprint) —
 the exploded layout feeds ``groupby(fp)`` collision analysis exactly like
 the LSH bucket tables; ``shared_fingerprint_pairs`` composes it into
-"documents sharing ≥ m fingerprints" via one vectorized hash aggregate.
+"documents sharing ≥ m fingerprints" via one pair merge
+(``exchange.merge``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from sqlgrep_ray.stages import exchange
 from sqlgrep_ray.stages.textnorm import split_whitespace
 
 _B = np.uint64(1_000_003)  # polynomial base
@@ -252,7 +254,7 @@ def shared_fingerprint_pairs(
     """Document pairs sharing ≥ ``min_shared`` winnowing fingerprints —
     partial-copy candidates (a shared span of ≥ w+k−1 normalized chars
     guarantees ≥ 1 shared fingerprint). Pair counting runs per fingerprint
-    bucket and merges with ONE vectorized hash aggregate.
+    bucket and merges with ONE pair merge (``exchange.merge``).
 
     HOT-FINGERPRINT CAP (deliberate, counted, NOT silent): a fingerprint
     shared by more than ``max_bucket`` documents contributes m(m−1)/2
@@ -267,8 +269,6 @@ def shared_fingerprint_pairs(
     larger ``max_bucket`` (or ``metrics`` to observe the tail) when
     exhaustive pairs matter; pairs among ≤ ``max_bucket``-df fingerprints
     are exhaustive and exact (oracle-checked)."""
-    from ray.data.aggregate import Sum
-
     from sqlgrep_ray.stages.window import resolve_buckets
 
     actor = metrics.actor if metrics is not None else None
@@ -280,22 +280,11 @@ def shared_fingerprint_pairs(
     # 2/(w+1) fps/char ⇒ ~0.12/char at w=16; 256 ≈ a 2 KB doc), estimated
     # from the DOCUMENT count so the resolve stays metadata-free on a
     # fresh parquet read instead of re-running fingerprinting to count.
-    if num_buckets is not None:
-        n_buckets = np.int64(num_buckets)
-    else:
-        n_buckets = np.int64(
-            resolve_buckets(None, n_rows=_estimate_fp_rows(ds))
-        )
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        h = pd.util.hash_pandas_object(
-            t.select(["fp"]).to_pandas(), index=False
-        ).to_numpy()
-        return t.append_column(
-            "__b", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
+    n_buckets = (
+        num_buckets
+        if num_buckets is not None
+        else resolve_buckets(None, n_rows=_estimate_fp_rows(ds))
+    )
 
     def bucket_pairs(g: pa.Table) -> pa.Table:
         # one task per fp-hash BUCKET, not per fingerprint: sort by fp,
@@ -335,21 +324,10 @@ def shared_fingerprint_pairs(
             }
         )
 
-    pairs = (
-        fps.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(
-            lambda g: bucket_pairs(g.drop_columns(["__b"])),
-            batch_format="pyarrow",
-        )
-    )
-    merged = pairs.groupby(["id_a", "id_b"]).aggregate(
-        Sum("shared", alias_name="shared", ignore_nulls=True)
-    )
+    pairs = exchange.bucketed(fps, "fp", n_buckets, bucket_pairs)
+    merged = exchange.merge(pairs, ["id_a", "id_b"], [("shared", "sum")])
 
     def keep(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return t.filter(pc.greater_equal(t["shared"], min_shared))
 
-    return merged.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+    return exchange.as_dataset(exchange.apply(merged, keep))

@@ -39,3 +39,24 @@ def _no_ray_dataset_join(monkeypatch):
         raise AssertionError("ray.data.Dataset.join is not used by the engine")
 
     monkeypatch.setattr(ray.data.Dataset, "join", _refuse)
+
+
+@pytest.fixture(autouse=True)
+def _no_keyed_ray_aggregate(monkeypatch):
+    """Every keyed merge runs through ``exchange.merge`` (a driver
+    ``pa.TableGroupBy`` or one per bucket of the engine's exchange); Ray's
+    sort-based keyed ``groupby(…).aggregate`` — and ``count``/``sum``/
+    ``min``/``max``, which go through it — must be reached by no path. A
+    global aggregate (``Dataset.aggregate``, key None) stays allowed."""
+    from ray.data.grouped_data import GroupedData
+
+    aggregate = GroupedData.aggregate
+
+    def _refuse_keyed(self, *aggs):
+        if self._key is not None:
+            raise AssertionError(
+                "a keyed ray.data groupby(...).aggregate is not used by the engine"
+            )
+        return aggregate(self, *aggs)
+
+    monkeypatch.setattr(GroupedData, "aggregate", _refuse_keyed)

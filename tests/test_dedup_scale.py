@@ -168,13 +168,15 @@ def test_embedding_lsh_scales_to_200k(ray_session):
 
 
 def test_hot_stats_groupby_path_equivalence(ray_session, monkeypatch):
-    """Forcing the distributed groupby stats merge (HOT_STATS_SMALL_MAX=0)
-    must give the same pairs as the driver-side small merge."""
+    """Forcing the bucketed stats merge (the merge gate's bound at 0) must
+    give the same pairs as the driver-side small merge."""
     import ray.data
+
+    from sqlgrep_ray.stages import exchange
 
     ds = ray.data.from_arrow(_identical_corpus(30))
     base = dd.minhash_lsh_dedup(ds, threshold=0.9).to_pandas()
-    monkeypatch.setattr(dd, "HOT_STATS_SMALL_MAX", 0)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 0)
     big = dd.minhash_lsh_dedup(ds, threshold=0.9).to_pandas()
     key = lambda df: sorted(zip(df["id_a"], df["id_b"]))
     assert key(base) == key(big)

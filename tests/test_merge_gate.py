@@ -1,6 +1,6 @@
-"""One merge gate (``runner._merge_partials``) serves associative GROUP BY,
+"""One merge gate (``exchange.merge``) serves associative GROUP BY,
 two-stage COUNT/SUM/AVG(DISTINCT) and SELECT DISTINCT: each shape gives
-the same answer on the driver merge and on the Ray exchange (the gate
+the same answer on the driver merge and on the bucketed merge (the gate
 forced shut with ``SMALL_MERGE_MAX_PARTIAL_ROWS = 1``)."""
 
 import duckdb
@@ -10,7 +10,7 @@ import pytest
 from sqlgrep_ray import Tables
 from sqlgrep_ray.api import run_sql
 from sqlgrep_ray.explain import explain_sql
-from sqlgrep_ray.pipelines import runner
+from sqlgrep_ray.stages import exchange
 from sqlgrep_ray.sqlfront import SqlError
 
 T = pa.table(
@@ -59,12 +59,12 @@ def _key(row: dict) -> tuple:
 def test_driver_merge_equals_exchange(ray_session, monkeypatch, name):
     sql = QUERIES[name]
     driver = _rows(sql, T)
-    monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
-    exchange = _rows(sql, T)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
+    bucketed = _rows(sql, T)
     if "ORDER BY" in sql or "GROUP BY" in sql:
-        assert driver == exchange  # key order (NULL first) is part of it
+        assert driver == bucketed  # key order (NULL first) is part of it
     else:
-        assert sorted(driver, key=_key) == sorted(exchange, key=_key)
+        assert sorted(driver, key=_key) == sorted(bucketed, key=_key)
     assert driver
 
 
@@ -88,14 +88,14 @@ def test_driver_merge_matches_duckdb(ray_session, name):
 )
 def test_empty_input_gives_no_rows_on_both_paths(ray_session, monkeypatch, name):
     assert _rows(QUERIES[name], T.slice(0, 0), blocks=1) == []
-    monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
     assert _rows(QUERIES[name], T.slice(0, 0), blocks=1) == []
 
 
 def test_keyless_having_filters_on_both_paths(ray_session, monkeypatch):
     sql = "SELECT COUNT(*) AS n FROM t HAVING COUNT(*) > 100"
     assert _rows(sql, T) == []
-    monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
     assert _rows(sql, T) == []
 
 
@@ -108,9 +108,9 @@ def test_small_count_distinct_runs_no_exchange(ray_session, monkeypatch):
 
     small = stats()
     assert "Aggregate" not in small and "Sort" not in small
-    monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
     large = stats()
-    assert "Aggregate" in large and "Sort" in large
+    assert "add_bucket" in large and "Sort" in large
 
 
 def test_wide_partials_take_the_exchange(ray_session, monkeypatch):
@@ -118,15 +118,15 @@ def test_wide_partials_take_the_exchange(ray_session, monkeypatch):
     # its 3,200 bytes
     import ray.data
 
-    monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 100)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 100)
     wide = pa.table({"s": [f"{i % 20:04d}" + "x" * 200 for i in range(40)]})
     ds = run_sql("SELECT DISTINCT s FROM t", {"t": ray.data.from_arrow(wide)})
     ds = ds.materialize()
-    assert "Aggregate" in ds.stats()
+    assert "add_bucket" in ds.stats()
     assert sorted(r["s"] for r in ds.take_all()) == sorted(set(wide["s"].to_pylist()))
     narrow = ray.data.from_arrow(pa.table({"s": pa.array(range(10))}))
     ds = run_sql("SELECT DISTINCT s FROM t", {"t": narrow}).materialize()
-    assert "Aggregate" not in ds.stats()
+    assert "add_bucket" not in ds.stats()
 
 
 def test_null_typed_key_block_joins_the_null_group(ray_session):
@@ -174,7 +174,7 @@ def test_null_typed_key_block_on_both_paths(ray_session, monkeypatch, path, sql)
         pa.table({"k": pa.array(["x", None, "y"]), "v": pa.array([4, 5, 6])}),
     ]
     if path == "exchange":
-        monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
+        monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
     got = run_sql(sql, {"t": ray.data.from_arrow(blocks)}).take_all()
     con = duckdb.connect()
     con.register("t", pa.concat_tables(blocks, promote_options="default"))
@@ -224,7 +224,7 @@ def test_follow_snapshot_equals_query(ray_session, tmp_path):
     "name", ["group_by", "distinct_mixed", "select_distinct"]
 )
 def test_explain_names_the_gate(name):
-    gate = f"driver merge when the partials are ≤ {runner.SMALL_MERGE_MAX_PARTIAL_ROWS:,} rows"
+    gate = f"driver merge when the partials are ≤ {exchange.SMALL_MERGE_MAX_PARTIAL_ROWS:,} rows"
     assert gate in explain_sql(QUERIES[name])
 
 
@@ -277,3 +277,109 @@ def test_try_cast_int_is_exact(ray_session):
         2**53 + 1, -(2**63), 2**63 - 1, 13, None, 7, -13, None, None,
         None, None, -42,
     ]
+
+
+# -- every keyed merge takes the one gate: null-typed blocks, NULL keys ------
+
+NULL_BLOCK = pa.table({"k": pa.nulls(3)})
+TYPED_BLOCK = pa.table({"k": pa.array(["x", None, "y"])})
+
+
+@pytest.mark.parametrize("path", ["driver", "exchange"])
+@pytest.mark.parametrize("null_first", [True, False])
+@pytest.mark.parametrize("op", ["INTERSECT", "INTERSECT ALL", "EXCEPT ALL"])
+def test_set_op_over_null_typed_block(ray_session, monkeypatch, path, null_first, op):
+    # a block typed `null` (every value NULL), first or second: the set
+    # operation types it from the other block and gives DuckDB's answer,
+    # against itself and against its first block alone (`u`)
+    import ray.data
+
+    blocks = [NULL_BLOCK, TYPED_BLOCK] if null_first else [TYPED_BLOCK, NULL_BLOCK]
+    if path == "exchange":
+        monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
+    con = duckdb.connect()
+    con.register("t", pa.concat_tables(blocks, promote_options="default"))
+    con.register("u", blocks[0].cast(pa.schema([("k", pa.string())])))
+    for rhs in ("t", "u"):
+        sql = f"SELECT k FROM t {op} SELECT k FROM {rhs}"
+        got = run_sql(
+            sql,
+            {"t": ray.data.from_arrow(blocks), "u": ray.data.from_arrow(blocks[:1])},
+        ).take_all()
+        want = con.sql(sql).arrow().to_pylist()
+        assert sorted(got, key=_key) == sorted(want, key=_key), sql
+
+
+@pytest.mark.parametrize(
+    "expr, on_null, on_typed",
+    [
+        ("LENGTH(k)", None, [1, None, 1]),
+        ("UPPER(k)", None, ["X", None, "Y"]),
+        ("SUBSTR(k, 1, 2)", None, ["x", None, "y"]),
+        ("COALESCE(k, 'z')", "z", ["x", "z", "y"]),
+    ],
+)
+def test_scalar_function_over_null_typed_block(ray_session, expr, on_null, on_typed):
+    # a null-typed argument takes the parameter's type: NULL in, SQL's
+    # answer for NULL out (for COALESCE, its second argument)
+    import ray.data
+
+    ds = ray.data.from_arrow([NULL_BLOCK, TYPED_BLOCK])
+    got = [r["n"] for r in run_sql(f"SELECT {expr} AS n FROM t", {"t": ds}).take_all()]
+    order = lambda v: (v is None, v)  # noqa: E731
+    assert sorted(got, key=order) == sorted([on_null] * 3 + on_typed, key=order)
+
+
+@pytest.mark.parametrize("path", ["driver", "exchange"])
+def test_raw_null_key_is_its_own_group(ray_session, monkeypatch, path):
+    # a stage's raw key keeps NULL apart from '' (only null-encoded
+    # (marker, key) pairs are filled)
+    import ray.data
+
+    from sqlgrep_ray.stages.dedup import exact_dedup
+
+    t = pa.table(
+        {"key": pa.array(["a", None, "", None, "a"]), "id": pa.array([5, 4, 3, 2, 1])}
+    )
+    if path == "exchange":
+        monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 0)
+    ds = ray.data.from_arrow([t.slice(0, 2), t.slice(2)])
+    got = sorted(exact_dedup(ds, "key", "id").take_all(), key=_key)
+    assert got == [{"key": "", "id": 3}, {"key": "a", "id": 1}, {"key": None, "id": 2}]
+
+
+def test_token_frequencies_on_both_paths(ray_session, monkeypatch):
+    from collections import Counter
+
+    import ray.data
+
+    from sqlgrep_ray.stages.vocab import token_frequencies
+
+    texts = ["the cat sat", "The dog", None, "a cat and THE dog", ""]
+    ds = ray.data.from_arrow(pa.table({"text": texts})).repartition(3)
+    want = Counter(w for s in texts for w in (s or "").lower().split())
+
+    def run() -> dict:
+        return {r["token"]: r["count"] for r in token_frequencies(ds).take_all()}
+
+    assert run() == dict(want)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 0)
+    assert run() == dict(want)
+
+
+def test_hot_buckets_on_both_paths(ray_session, monkeypatch):
+    import ray.data
+
+    from sqlgrep_ray.stages.dedup import _hot_buckets
+
+    buckets = [1, 2, 2, 3, 3, 3, 4, 5, 5, 1, 6]
+    ds = ray.data.from_arrow(pa.table({"bucket": pa.array(buckets, pa.int64())}))
+
+    def run() -> tuple:
+        hot, n_hot, n_cand = _hot_buckets(ds.repartition(3))
+        return sorted((r["bucket"], r["n"]) for r in hot.take_all()), n_hot, n_cand
+
+    want = ([(1, 2), (2, 2), (3, 3), (5, 2)], 4, 9)
+    assert run() == want
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 0)
+    assert run() == want

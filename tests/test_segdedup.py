@@ -63,11 +63,13 @@ def test_segment_dedup_lines(ray_session):
 
 
 def test_segment_dedup_distributed_count_path(ray_session, monkeypatch):
-    """Forcing the distributed count merge (SEG_SMALL_MAX=0) matches the
-    driver merge."""
+    """Forcing the bucketed count merge (the merge gate's bound at 0)
+    matches the driver merge."""
+    from sqlgrep_ray.stages import exchange
+
     texts = [f"{BOILER}\nunique line {i}" for i in range(30)]
     base = _run(texts, ray_session, sep=r"\n", join_str="\n", min_count=2)
-    monkeypatch.setattr(sd, "SEG_SMALL_MAX", 0)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 0)
     dist = _run(texts, ray_session, sep=r"\n", join_str="\n", min_count=2)
     assert base.equals(dist)
     assert (base["n_removed"] == 1).all()

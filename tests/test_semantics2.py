@@ -250,13 +250,13 @@ def test_select_preserves_input_order_with_option(ray_session):
 
 def test_auto_merge_path_selection(ray_session, monkeypatch):
     """plan.small_result=None picks the merge path from the partial-row
-    count: with the bound forced to 1 the distributed groupby engages and
-    produces the same result as the single-block merge."""
+    count: with the bound forced to 1 the bucketed merge engages and
+    produces the same result as the driver merge."""
     import ray.data
     import pyarrow as pa
 
     from sqlgrep_ray.functions.exprs import Col
-    from sqlgrep_ray.pipelines import runner
+    from sqlgrep_ray.stages import exchange
     from sqlgrep_ray.pipelines.plan import AggItem, AggregatePlan, GroupKey
     from sqlgrep_ray.pipelines.runner import run_plan
 
@@ -274,7 +274,7 @@ def test_auto_merge_path_selection(ray_session, monkeypatch):
     ds = ray.data.from_arrow(t).repartition(8)
     small = run_plan(ds, plan).to_pandas()
 
-    monkeypatch.setattr(runner, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 1)
     dist = run_plan(ray.data.from_arrow(t).repartition(8), plan).to_pandas()
     assert small.equals(dist)
     assert len(small) == 50

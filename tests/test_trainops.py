@@ -326,14 +326,15 @@ def test_duplicate_ngram_stats(ray_session):
 
 
 def test_duplicate_ngram_stats_path_equivalence(ray_session, monkeypatch):
-    """Forcing the distributed groupby/join dataflow (TEXTDUP_SMALL_MAX=0)
-    must match the driver-side merge exactly."""
+    """Forcing the bucketed dataflow (the merge gate's bound at 0) must
+    match the driver-side merge exactly."""
     import ray.data
     import sqlgrep_ray.stages.textdup as td
+    from sqlgrep_ray.stages import exchange
 
     ds = ray.data.from_arrow(_doc_table())
     local = td.duplicate_ngram_stats(ds, k=3).to_pandas()
-    monkeypatch.setattr(td, "TEXTDUP_SMALL_MAX", 0)
+    monkeypatch.setattr(exchange, "SMALL_MERGE_MAX_PARTIAL_ROWS", 0)
     dist = td.duplicate_ngram_stats(ds, k=3).to_pandas()
     key = lambda df: sorted(
         map(tuple, df[["doc_id", "dup_grams", "total_grams"]].itertuples(index=False))
