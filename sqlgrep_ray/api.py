@@ -674,7 +674,7 @@ def _run_sql_stmt(stmt, env: dict, default) -> "ray.data.Dataset":
         for alias, sub in stmt.derived:
             env[alias] = _run_sql_stmt(sub, env, default)
     entry, plan = _bind(stmt, env, default)
-    n_rows = None  # the FROM side's row count, where a footer gives it
+    n_rows = None  # the FROM side's size (exchange.gate_size), from footers
     if isinstance(entry, _TextTable):
         src = entry.scan(stmt.file, _reads_input(stmt, plan))
     elif isinstance(entry, str):
@@ -682,11 +682,12 @@ def _run_sql_stmt(stmt, env: dict, default) -> "ray.data.Dataset":
         # columns only + pushable WHERE atoms as a pyarrow.dataset
         # filter (row-group statistics pruning); the engine re-applies
         # the full WHERE, so pushdown is bandwidth-only
-        from sqlgrep_ray.sources import parquet_num_rows
+        from sqlgrep_ray.sources import parquet_size
         from sqlgrep_ray.sources.pushdown import scan_parquet_for_query
+        from sqlgrep_ray.stages.exchange import gate_size
 
         src = scan_parquet_for_query(entry, stmt)
-        n_rows = parquet_num_rows(entry)
+        n_rows = gate_size(*parquet_size(entry))
     else:
         src = entry
     run_sub = lambda s: _run_sql_stmt(s, env, default)  # noqa: E731

@@ -5,13 +5,15 @@ EXPLAIN). Pure static rendering: nothing executes, no Ray session needed.
 Surface: ``sqlgrep_ray.api.explain_sql(sql)`` and a leading ``EXPLAIN``
 keyword on the CLI/REPL. The physical annotations mirror the actual
 dispatch logic in ``pipelines/runner.py`` (cited per line) so the output
-stays honest about shuffles: each window frame = one bucket exchange,
-broadcast joins = zero exchanges, holistic aggregates = one hash
-shuffle + map_groups. Associative aggregates, two-stage COUNT(DISTINCT)
-and SELECT DISTINCT name the merge gate (``exchange.merge``): a driver
-merge when the per-block partials are at most
-``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and as many 32-byte rows in size,
-else one bucketed merge (two for two-stage COUNT(DISTINCT)).
+stays honest about shuffles: broadcast joins = zero exchanges, holistic
+aggregates = one hash shuffle + map_groups. Every gated exchange names
+the gate (``exchange.gather``) and its one bound,
+``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and as many 32-byte rows in size:
+associative aggregates, two-stage COUNT(DISTINCT) and SELECT DISTINCT
+merge on the driver within it, else in one bucketed merge (two for
+two-stage COUNT(DISTINCT)); a window frame is one bucket within it, else
+one bucket exchange. Top-n merges finish in one task, with no
+Repartition (``exchange.one_block``).
 """
 
 from __future__ import annotations
@@ -158,8 +160,13 @@ def _explain_plan(plan, out: list, indent: str) -> None:
             else:
                 out.append(
                     f"{pad}  window frame PARTITION BY {key} ORDER BY "
-                    f"{order}: [{fns}] — ONE bucket exchange, auto-sized "
-                    f"buckets, fused per-frame kernels"
+                    f"{order}: [{fns}] — fused per-frame kernels; "
+                    + _gate(
+                        "one bucket, no exchange, when the rows are",
+                        "ONE bucket exchange (Sort), auto-sized buckets; the "
+                        "one bucket runs on the driver, or in one task when "
+                        "a Parquet footer bounds the rows",
+                    )
                 )
         if getattr(plan, "qualify", None) is not None:
             out.append(
@@ -232,7 +239,8 @@ def _explain_plan(plan, out: list, indent: str) -> None:
         )
         lim = getattr(plan, "limit", None)
         strategy = (
-            "combiner-first top-n" if lim is not None else "distributed sort"
+            f"combiner-first top-n, {ONE_TASK}" if lim is not None
+            else "distributed sort (Sort)"
         )
         out.append(f"{pad}  order by: {keys} ({strategy})")
     if getattr(plan, "limit", None) is not None:
@@ -240,7 +248,8 @@ def _explain_plan(plan, out: list, indent: str) -> None:
         out.append(
             f"{pad}  limit: {plan.limit}"
             + (f" offset {off}" if off else "")
-            + " (streaming early-stop)"
+            + " (streaming early-stop"
+            + (f"; offset: {ONE_TASK})" if off and not order_by else ")")
         )
 
 
@@ -276,17 +285,24 @@ def explain_statement(stmt, out: Optional[list] = None, indent: str = "") -> str
     return "\n".join(lines)
 
 
+# ``exchange.one_block``: the finish of a top-n merge, an unordered OFFSET
+# and the key sort of a small result
+ONE_TASK = "merged in one task, no Repartition"
+
+
+def _gate(small: str, exchange: str) -> str:
+    """The choice of ``exchange.gather``: ``small`` within its bound, else
+    ``exchange``."""
+    from sqlgrep_ray.stages.exchange import SMALL_MERGE_MAX_PARTIAL_ROWS as b
+
+    return f"{small} ≤ {b:,} rows and {32 * b // 10**6} MB, else {exchange}"
+
+
 def _merge_gate(plan, exchange: str) -> str:
     """The merge path ``exchange.merge`` picks for ``plan``."""
-    from sqlgrep_ray.stages.exchange import SMALL_MERGE_MAX_PARTIAL_ROWS
-
     small = getattr(plan, "small_result", None)
     if small is None:
-        return (
-            f"driver merge when the partials are ≤ "
-            f"{SMALL_MERGE_MAX_PARTIAL_ROWS:,} rows and "
-            f"{32 * SMALL_MERGE_MAX_PARTIAL_ROWS // 10**6} MB, else {exchange}"
-        )
+        return _gate("driver merge when the partials are", exchange)
     return "driver merge" if small else exchange
 
 

@@ -63,6 +63,7 @@ from sqlgrep_ray.stages.exchange import (
     apply,
     as_dataset,
     merge,
+    one_block,
 )
 
 def _expr_cols(e) -> set:
@@ -173,8 +174,10 @@ def run_plan(
     n_rows: Optional[int] = None,
 ) -> "ray.data.Dataset":
     """Run ``plan`` over ``ds``. ``n_rows``, when the caller knows it (a
-    Parquet footer), is the row count of ``ds`` or an upper bound of it;
-    it sizes the window exchange without a counting pass."""
+    Parquet footer), is an upper bound of the row count of ``ds``, in the
+    gate's measure (``exchange.gate_size``: bytes count as 32-byte rows);
+    it sizes the window exchange without a counting pass and lets the
+    window's gate decide without executing."""
     if isinstance(plan, SelectPlan):
         return run_select(ds, plan, ctx, batch_size, n_rows)
     if isinstance(plan, AggregatePlan):
@@ -645,15 +648,9 @@ def _apply_order(
                 return t
             return t.take(idx.slice(0, eff))
 
-        return (
-            ds.map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
-            .repartition(1)
-            .map_batches(
-                lambda t: t.take(order(t).slice(offset, limit)).drop_columns(
-                    list(drop)
-                ),
-                batch_format="pyarrow",
-            )
+        return one_block(
+            ds.map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True),
+            lambda t: t.take(order(t).slice(offset, limit)).drop_columns(list(drop)),
         )
 
     # Ray's sort compares every block against sampled boundaries, so the
@@ -702,9 +699,8 @@ def _limit_offset(ds, limit, offset, ordered):
         return ds
     if ordered or not offset:
         return ds.limit(limit)  # streaming executor early-stops upstream
-    ds = ds.limit(limit + offset)
-    return ds.repartition(1).map_batches(
-        lambda t: t.slice(min(offset, t.num_rows)), batch_format="pyarrow"
+    return one_block(
+        ds.limit(limit + offset), lambda t: t.slice(min(offset, t.num_rows))
     )
 
 
@@ -767,6 +763,9 @@ def run_select(
         for w in windows:
             frames.setdefault((w.key, w.order), []).append(w)
         nb = resolve_buckets(None, ds_entry, n_rows=n_rows)
+        # the footer size bounds the window's input unless a join can
+        # multiply its rows
+        size_bound = None if plan.join or getattr(plan, "extra_joins", ()) else n_rows
         gw_added = False
         for (key, order), specs in frames.items():
             if key is None and isinstance(order, str) and all(
@@ -867,6 +866,7 @@ def run_select(
                 funcs,
                 keep_cols=None,  # SQL window semantics: the row survives
                 num_buckets=nb,
+                estimate=size_bound,
             )
 
     qualify = getattr(plan, "qualify", None)
@@ -1219,9 +1219,7 @@ def _approx_count_distinct_path(
             )
         # group-key order contract (reference BTreeMap; small results —
         # one row per key — so a single-block sort is bounded)
-        out = out.repartition(1).map_batches(
-            key_sort, batch_format="pyarrow", zero_copy_batch=True
-        )
+        out = one_block(out, key_sort)
     return _order_limit(out, plan, ctx)
 
 
@@ -1339,9 +1337,7 @@ def _mode_path(
             )
             return t.take(idx)
 
-        out = out.repartition(1).map_batches(
-            key_sort, batch_format="pyarrow", zero_copy_batch=True
-        )
+        out = one_block(out, key_sort)
     return _order_limit(out, plan, ctx)
 
 

@@ -28,9 +28,9 @@ def list_input_shards(input_dir: str) -> list[str]:
     )
 
 
-def read_shards(files: Sequence[str], **kwargs) -> "ray.data.Dataset":
-    """``ray.data.read_parquet`` over shard files with one read task per
-    file, but never more than 4 per CPU.
+def _read_blocks(n_files: int) -> int:
+    """Read tasks for ``n_files`` Parquet files: one per file, but never
+    more than 4 per CPU.
 
     Never more blocks than files: Ray's default block count splits a read
     of a few files with a ``SplitBlocks`` step, which breaks read→map
@@ -40,16 +40,32 @@ def read_shards(files: Sequence[str], **kwargs) -> "ray.data.Dataset":
     ~4 tasks per CPU: at 800 shards, one task per file pays ~3 s of pure
     task overhead per stage at 32 CPUs (round-4 block-size sweep in
     BASELINE.md: 800 blocks 7.6 s vs 128 blocks 4.6 s for the same
-    pipeline). So a read's parallelism is its file count, up to that cap."""
-    files = list(files)
+    pipeline). The trade-off: an input of fewer files than CPUs is no
+    longer split, so one large file reads (and maps) in one task."""
     cpus = ray.cluster_resources().get("CPU", 8) if ray.is_initialized() else 8
-    blocks = max(1, min(len(files), int(cpus) * 4))
-    return ray.data.read_parquet(files, override_num_blocks=blocks, **kwargs)
+    return max(1, min(n_files, int(cpus) * 4))
+
+
+def read_shards(files: Sequence[str], **kwargs) -> "ray.data.Dataset":
+    """``ray.data.read_parquet`` over shard files, one read task per file
+    up to the cap of :func:`_read_blocks`."""
+    files = list(files)
+    return ray.data.read_parquet(
+        files, override_num_blocks=_read_blocks(len(files)), **kwargs
+    )
 
 
 def read_parquet_clean(paths: Any, **kwargs) -> "ray.data.Dataset":
     """``ray.data.read_parquet`` + schema-metadata strip (fuses with the
-    read; keeps real warnings visible downstream)."""
+    read; keeps real warnings visible downstream), with the block rule of
+    :func:`read_shards` over the files Ray lists (:func:`_parquet_files`):
+    a one-file source reads, strips and runs every downstream map in one
+    fused task."""
+    if "override_num_blocks" not in kwargs:
+        try:
+            kwargs["override_num_blocks"] = _read_blocks(len(_parquet_files(paths)))
+        except (OSError, ValueError, pa.ArrowException):
+            pass  # a listing pyarrow cannot make: Ray's own block count
     return ray.data.read_parquet(paths, **kwargs).map_batches(
         strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True
     )
@@ -69,7 +85,7 @@ def _hive_parser():
     return PathPartitionParser(Partitioning("hive"))
 
 
-def _parquet_files(path: str) -> list[tuple[Any, dict]]:
+def _parquet_files(path: Any) -> list[tuple[Any, dict]]:
     """(pyarrow fragment, hive partitions) per file Ray's
     ``read_parquet(path)`` reads: its path resolution and
     ``pq.ParquetDataset`` listing with pyarrow's own partitioning off, so
@@ -96,9 +112,15 @@ def parquet_names(path: str) -> tuple[list[str], list[str]]:
     return names, [k for k in parts if k not in names]
 
 
-def parquet_num_rows(path: str) -> int:
-    """Row count of ``path`` from its Parquet footers."""
-    return sum(f.metadata.num_rows for f, _ in _parquet_files(path))
+def parquet_size(path: str) -> tuple[int, int]:
+    """(rows, uncompressed bytes) of ``path`` from its Parquet footers."""
+    rows = nbytes = 0
+    for f, _ in _parquet_files(path):
+        md = f.metadata
+        rows += md.num_rows
+        groups = (md.row_group(i) for i in range(md.num_row_groups))
+        nbytes += sum(g.total_byte_size for g in groups)
+    return rows, nbytes
 
 
 def read_parquet_table(path: str, columns: Optional[list] = None) -> pa.Table:

@@ -24,6 +24,7 @@ cap with ``max_bucket`` and log drops.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Callable, Optional
 
@@ -72,7 +73,7 @@ def _hot_buckets(
     partials are few (a Ray all-to-all there costs seconds of pure task
     overhead), else bucketed, so per-worker memory is distinct-buckets /
     buckets, never the full distinct-bucket set in one task (the round-2
-    ``repartition(1)`` scale-killer)."""
+    single-block scale-killer)."""
 
     def partial_counts(t: pa.Table) -> pa.Table:
         return pa.TableGroupBy(t.select(["bucket"]), ["bucket"]).aggregate(
@@ -444,7 +445,7 @@ def _verify_one_block(
         all_pairs = pa.concat_tables(pieces)
         return _pair_dedup_tbl(all_pairs)
 
-    return cands.repartition(1).map_batches(verify_all, batch_format="pyarrow")
+    return exchange.one_block(cands, verify_all)
 
 
 def _hot_bucket_verify(
@@ -657,11 +658,7 @@ def ngram_jaccard_pairs(
             }
         )
 
-    return (
-        ds.select_columns([id_col, text_col])
-        .repartition(1)
-        .map_batches(all_pairs, batch_format="pyarrow")
-    )
+    return exchange.one_block(ds.select_columns([id_col, text_col]), all_pairs)
 
 
 def jaccard_tokens(a: str, b: str, k: int = 3) -> float:
@@ -949,8 +946,8 @@ def minhash_lsh_dedup(
         all_pairs = pa.concat_tables(pieces)
         return _pair_dedup_tbl(all_pairs)
 
-    return cand_docs.repartition(1).map_batches(
-        verify_all, fn_kwargs=dict(pairs_ref=pairs_ref), batch_format="pyarrow"
+    return exchange.one_block(
+        cand_docs, functools.partial(verify_all, pairs_ref=pairs_ref)
     )
 
 

@@ -1,16 +1,27 @@
-"""The engine's key-hash bucket exchange and its one merge gate.
+"""The engine's key-hash bucket exchange and its one driver gate.
 
 Every keyed operator that cannot finish per block moves its rows once,
 through ``groupby("__b").map_groups`` on a block-stable key hash
-(:func:`bucket_ids`), and finishes one bucket per Python call:
+(:func:`bucket_ids`), and finishes one bucket per Python call — unless
+the rows are few. One gate, :func:`gather`, with one bound
+(``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and 32 bytes a row), decides that
+for every exchange: at most that many rows finish without one, since
+Ray's all-to-all costs a Sort or Repartition operator (~0.1 s of fixed
+cost on one CPU) however few rows it moves.
 
 * :func:`merge` — per-block combiner partials (sums, mins, maxes keyed on
   their group) merge in one ``pa.TableGroupBy``: on the driver when they
-  are few (``SMALL_MERGE_MAX_PARTIAL_ROWS``), else once per bucket of
-  :func:`bucketed`. Every keyed aggregate of the engine goes through it:
-  GROUP BY, DISTINCT, set operations and the text, dedup and graph stages;
+  pass the gate, else once per bucket of :func:`hash_exchange`. Every
+  keyed aggregate of the engine goes through it: GROUP BY, DISTINCT, set
+  operations and the text, dedup and graph stages;
 * :func:`bucketed` — one input: the window family, sessionize,
-  conversation reassembly, grouped top-k and percentiles;
+  conversation reassembly, grouped top-k and percentiles. Under the gate
+  the rows are one bucket, finished on the driver (or, with a free
+  estimate, in one lazy task: :func:`one_block`); else
+  :func:`hash_exchange`;
+* :func:`one_block` — a finish that needs every row in one call (top-n
+  merges, one-block sketch merges, key sorts of small results): one task
+  that bundles every block, with no Repartition;
 * :func:`co_bucketed` — two inputs hashed alike, so one bucket holds both
   sides' rows of the same keys: the distributed joins
   (``enrich.shuffle_join`` and its clients), the as-of join and the
@@ -38,10 +49,65 @@ import ray.data
 
 from sqlgrep_ray.stages.aggregate import _null_default, group_table_null_safe
 
-# The merge gate's one bound (``small=None``): partials of at most this many
-# rows, and no more bytes than that many 32-byte rows (64 MB), merge on the
-# driver; beyond it, in rows or in bytes, they merge in the bucket exchange.
+# The gate's one bound (:func:`gather`): at most this many rows, and no more
+# bytes than that many 32-byte rows (64 MB), finish without an exchange;
+# beyond it, in rows or in bytes, they move through the bucket exchange.
 SMALL_MERGE_MAX_PARTIAL_ROWS = 2_000_000
+
+
+def gate_size(rows: int, nbytes: int) -> int:
+    """The gate's measure of an input: its rows, or its bytes in 32-byte
+    rows when that is more; at most ``SMALL_MERGE_MAX_PARTIAL_ROWS``
+    passes."""
+    return max(rows, -(-nbytes // 32))
+
+
+# ``map_batches`` batch size that bundles every block of its input into
+# one call (:func:`one_block`)
+_ALL_ROWS = 2**62
+
+
+def _rows(ds: "ray.data.Dataset") -> pa.Table:
+    """Every row of ``ds`` as one table on the driver; no columns when
+    ``ds`` holds no block."""
+    tbls = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
+    if not tbls:
+        return pa.table({})
+    return pa.concat_tables(tbls, promote_options="default")
+
+
+def gather(
+    ds: "ray.data.Dataset", estimate: "int | None" = None
+) -> "tuple[pa.Table | None, ray.data.Dataset]":
+    """The engine's one driver gate: ``(rows, ds)``.
+
+    A free ``estimate`` of :func:`gate_size` (Parquet footers, a count
+    the caller holds) above the bound answers ``(None, ds)`` with nothing
+    executed. Otherwise ``ds`` is materialized once, and its exact row
+    count and bytes (block metadata) are checked against the bound: within
+    it, ``rows`` is every row as one ``pa.Table`` (no columns when ``ds``
+    holds no block); beyond it, ``rows`` is None. Either way the returned
+    ``ds`` is the materialized one, so the caller's exchange does not run
+    the upstream again."""
+    if estimate is not None and estimate > SMALL_MERGE_MAX_PARTIAL_ROWS:
+        return None, ds
+    ds = ds.materialize()
+    if gate_size(ds.count(), ds.size_bytes()) > SMALL_MERGE_MAX_PARTIAL_ROWS:
+        return None, ds
+    return _rows(ds), ds
+
+
+def one_block(ds: "ray.data.Dataset", fn) -> "ray.data.Dataset":
+    """``fn`` once over every row of ``ds``, in one task: the finish of a
+    top-n merge, a one-block sketch merge or the key sort of a small
+    result. The task bundles every block of its input (a batch size no
+    input reaches), so no Repartition runs, and its one-task limit keeps
+    it apart from the upstream maps, which still run one task per block.
+    Lazy: nothing executes here. An input with no rows calls nothing and
+    yields no rows, as ``repartition(1)`` did."""
+    return ds.map_batches(
+        fn, batch_format="pyarrow", batch_size=_ALL_ROWS, concurrency=1
+    )
 
 
 def _as_keys(key) -> list:
@@ -135,16 +201,44 @@ def bucketed(
     num_buckets: int,
     bucket_fn,
     cols: "Sequence[str] | None" = None,
+    estimate: "int | None" = None,
 ) -> "ray.data.Dataset":
-    """[prune] → hash keys into buckets (one deterministic shuffle) → one
-    vectorized ``bucket_fn`` call per bucket. ``bucket_fn`` receives the
-    bucket table WITH the ``__b`` column (drop it first thing)."""
+    """[prune] → ``bucket_fn`` over buckets of rows whose keys hash alike;
+    ``bucket_fn`` receives the bucket table WITH the ``__b`` column (drop
+    it first thing) and handles any set of whole keys.
+
+    Under the gate (:func:`gather`) every row is one bucket: one call on
+    the driver, or, when the caller passes a free ``estimate``
+    (:func:`gate_size`) within the bound, one call in one lazy task
+    (:func:`one_block`), so a query that binds without executing still
+    does. Above it, the rows move
+    through :func:`hash_exchange` in ``num_buckets`` buckets."""
+    if cols is not None:
+        ds = ds.select_columns(list(cols))
+
+    def one_bucket(t: pa.Table) -> pa.Table:
+        zeros = pa.array(np.zeros(t.num_rows, np.int64))
+        return bucket_fn(t.append_column("__b", zeros))
+
+    if estimate is not None and estimate <= SMALL_MERGE_MAX_PARTIAL_ROWS:
+        return one_block(ds, one_bucket)
+    rows, ds = gather(ds, estimate)
+    if rows is not None and rows.num_rows:
+        return ray.data.from_arrow(one_bucket(rows))
+    return hash_exchange(ds, keys, num_buckets, bucket_fn)
+
+
+def hash_exchange(
+    ds: "ray.data.Dataset", keys, num_buckets: int, bucket_fn
+) -> "ray.data.Dataset":
+    """Hash keys into ``num_buckets`` buckets (one deterministic shuffle)
+    → one vectorized ``bucket_fn`` call per bucket, ``__b`` column
+    included. No gate: for callers that already passed :func:`gather`, or
+    whose tasks must stay bounded whatever the input size."""
 
     def add_bucket(t: pa.Table) -> pa.Table:
         return t.append_column("__b", bucket_ids(t, keys, num_buckets))
 
-    if cols is not None:
-        ds = ds.select_columns(list(cols))
     return (
         ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("__b")
@@ -235,42 +329,34 @@ def merge(
     small: "bool | None" = None,
 ) -> "pa.Table | ray.data.Dataset":
     """Merge per-block combiner partials on ``keys`` with ``spec`` (as in
-    :func:`_group_merge`) — the engine's one merge gate. Keys are raw
+    :func:`_group_merge`) — the engine's one merge. Keys are raw
     columns, or null-encoded (marker, key) pairs (``runner._encode_keys``).
 
-    With ``small`` True, or None and at most SMALL_MERGE_MAX_PARTIAL_ROWS
-    narrow partial rows (no more rows, and no more bytes than that many
-    32-byte rows: wide rows such as SELECT DISTINCT over whole log lines
-    take the exchange), the partials come to the driver and merge in one
-    ``pa.TableGroupBy``; the result is a ``pa.Table``, as it is for a
-    ``pa.Table`` of partials. Otherwise the materialized partials move once
-    through :func:`bucketed` and each bucket merges in the same
-    ``pa.TableGroupBy``, after one pass that learns every block's schema
-    (:func:`_block_types`); the result is a Dataset. Ray's all-to-all costs
-    seconds of fixed overhead even on a few hundred rows (1.4 s of the 3 s
-    flagship aggregate, measured) against one object-store read here. Zero
-    input blocks return the empty partials: zero output rows (reference
-    parity — the global group appears on the first row, SURVEY §2.6)."""
+    With ``small`` True, or None and the partials within the gate
+    (:func:`gather`; wide rows such as SELECT DISTINCT over whole log
+    lines exceed its byte bound), the partials come to the driver and
+    merge in one ``pa.TableGroupBy``; the result is a ``pa.Table``, as it
+    is for a ``pa.Table`` of partials. Otherwise the materialized partials
+    move once through :func:`hash_exchange` and each bucket merges in the
+    same ``pa.TableGroupBy``, after one pass that learns every block's
+    schema (:func:`_block_types`); the result is a Dataset. Ray's
+    all-to-all costs seconds of fixed overhead even on a few hundred rows
+    (1.4 s of the 3 s flagship aggregate, measured) against one
+    object-store read here. Zero input blocks return the empty partials:
+    zero output rows (reference parity — the global group appears on the
+    first row, SURVEY §2.6)."""
     if isinstance(partials, pa.Table):
         return _group_merge(partials, keys, spec)
-    if not small:
-        # the partials are the merge input either way: materialize them
-        # once and gate on their real row count and size (metadata-only)
-        partials = partials.materialize()
-        if small is None:
-            small = (
-                partials.count() <= SMALL_MERGE_MAX_PARTIAL_ROWS
-                and partials.size_bytes() <= 32 * SMALL_MERGE_MAX_PARTIAL_ROWS
-            )
-        elif not partials.count():
+    if small is None:
+        rows, partials = gather(partials)
+    elif small:
+        rows = _rows(partials)
+    else:
+        rows, partials = None, partials.materialize()
+        if not partials.count():
             return partials
-    if small:
-        batches = list(partials.iter_batches(batch_format="pyarrow", batch_size=None))
-        if not batches:
-            return partials
-        return _group_merge(
-            pa.concat_tables(batches, promote_options="default"), keys, spec
-        )
+    if rows is not None:
+        return _group_merge(rows, keys, spec) if rows.num_columns else partials
     from sqlgrep_ray.stages.window import resolve_buckets
 
     # the exchange concatenates blocks without the driver's fill: type the
@@ -282,7 +368,7 @@ def merge(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return bucketed(
+    return hash_exchange(
         typed,
         keys,
         resolve_buckets(None, partials),
@@ -307,8 +393,8 @@ def to_table(merged: "pa.Table | ray.data.Dataset") -> "pa.Table | None":
     """:func:`merge` output as one table; None when it holds no block."""
     if isinstance(merged, pa.Table):
         return merged
-    tbls = list(merged.iter_batches(batch_format="pyarrow", batch_size=None))
-    return pa.concat_tables(tbls, promote_options="default") if tbls else None
+    t = _rows(merged)
+    return t if t.num_columns else None
 
 
 def _ipc_bytes(t: pa.Table) -> bytes:
@@ -338,17 +424,25 @@ def co_bucketed(
     """Hash both sides on their keys into the same buckets and call
     ``fn(left_part, right_part)`` once per bucket; its tables are the
     Datasets' own columns (no bucket column). ``num_buckets=None``
-    resolves from both sides' row counts (``window.resolve_buckets``).
+    resolves from both sides' row counts (``window.resolve_buckets``),
+    materializing a side whose count is not free, so its upstream runs
+    once.
 
     One range-partitioned sort of the pieces on ``__b`` carries both
     sides, in one partition per cluster CPU (at least two, at most one
     per bucket): the output's block count does not grow with the inputs',
     so an iterated exchange (label propagation) keeps its block count."""
-    from sqlgrep_ray.stages.window import resolve_buckets
+    from sqlgrep_ray.stages.window import known_rows, resolve_buckets
 
     lk, rk = _as_keys(left_keys), _as_keys(right_keys)
     if len(lk) != len(rk):
         raise ValueError("left/right key counts differ")
+    if num_buckets is None:
+        # a side whose row count Ray does not know runs once, here, and
+        # both the count and the join read what it wrote
+        left, right = (
+            d if known_rows(d) is not None else d.materialize() for d in (left, right)
+        )
     nb = resolve_buckets(num_buckets, left, right)
     cpus = ray.cluster_resources().get("CPU", 2) if ray.is_initialized() else 2
     parts = min(nb, max(2, int(cpus)))

@@ -30,6 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from sqlgrep_ray.stages import exchange
 from sqlgrep_ray.stages.textnorm import split_whitespace
 
 _ALPHA = {4: 0.673, 5: 0.697, 6: 0.709}
@@ -142,12 +143,11 @@ def approx_count_distinct(
              "payload": pa.array([regs.tobytes()], pa.binary())}
         )
 
-    partials = (
+    partials = exchange.one_block(
         ds.select_columns([col])
         .map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(merge, batch_format="pyarrow", batch_size=merge_batch)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow")
+        .map_batches(merge, batch_format="pyarrow", batch_size=merge_batch),
+        merge,
     )
     rows = partials.take_all()
     if not rows:  # zero input blocks: nothing ever ran
@@ -214,14 +214,17 @@ def heavy_hitters(
         summed = summed.rename_columns(["item", "count"])
         return _mg_compress(summed, k)
 
-    out = (
+    def final(t: pa.Table) -> pa.Table:
+        t = merge(t)
+        order = [("count", "descending"), ("item", "ascending")]
+        return t.take(pc.sort_indices(t, order))
+
+    return exchange.one_block(
         ds.select_columns([col])
         .map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(merge, batch_format="pyarrow", batch_size=merge_rows)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow")
+        .map_batches(merge, batch_format="pyarrow", batch_size=merge_rows),
+        final,
     )
-    return out.sort(["count", "item"], descending=[True, False])
 
 
 def _mg_compress_grouped(
@@ -282,7 +285,6 @@ def grouped_heavy_hitters(
     final per-key sum + compression. When a key's distinct items never
     exceed ``k`` nothing is ever decremented, so counts are EXACT (the
     driver-oracle regime). Output rows: (key, item, count)."""
-    from sqlgrep_ray.stages.exchange import bucketed
     from sqlgrep_ray.stages.window import resolve_buckets
 
     num_buckets = resolve_buckets(num_buckets, ds)
@@ -312,7 +314,7 @@ def grouped_heavy_hitters(
     combined = ds.map_batches(
         block, batch_format="pyarrow", zero_copy_batch=True
     ).map_batches(combine, batch_format="pyarrow", batch_size=merge_rows)
-    return bucketed(combined, key, num_buckets, bucket_final)
+    return exchange.bucketed(combined, key, num_buckets, bucket_final)
 
 
 def grouped_approx_distinct(
@@ -453,9 +455,8 @@ def grouped_approx_distinct(
             }
         )
 
-    from sqlgrep_ray.stages.exchange import bucketed
 
-    return bucketed(
+    return exchange.bucketed(
         ds.map_batches(block, batch_format="pyarrow", zero_copy_batch=True),
         key, 64, merge_bucket,
     )
@@ -556,14 +557,12 @@ def approx_quantiles(
         v, lv = _kll_compact(v, lv, k)
         return pa.table({"value": pa.array(v), "level": pa.array(lv)})
 
-    final = (
+    final = exchange.one_block(
         ds.select_columns([col])
         .map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(merge, batch_format="pyarrow", batch_size=merge_rows)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow")
-        .take_all()
-    )
+        .map_batches(merge, batch_format="pyarrow", batch_size=merge_rows),
+        merge,
+    ).take_all()
     if not final:
         return []
     values = np.array([r["value"] for r in final])
@@ -638,7 +637,6 @@ def grouped_approx_quantiles(
     ``floor(q*N)`` — the reference PERCENTILE contract); the driver
     oracle runs in that regime. NULL values drop per key; NULL keys form
     one group. Output: one row per key, columns ``(key, q<percent>…)``."""
-    from sqlgrep_ray.stages.exchange import bucketed
     from sqlgrep_ray.stages.window import _key_change_mask, resolve_buckets
 
     for q in qs:
@@ -717,7 +715,7 @@ def grouped_approx_quantiles(
     combined = ds.map_batches(
         block, batch_format="pyarrow", zero_copy_batch=True
     ).map_batches(combine, batch_format="pyarrow", batch_size=merge_rows)
-    return bucketed(combined, key, num_buckets, bucket_q)
+    return exchange.bucketed(combined, key, num_buckets, bucket_q)
 
 
 # ---------------------------------------------------------------------------
@@ -827,12 +825,11 @@ def count_min_counts(
             summed += dense
         return _dense(summed)
 
-    partials = (
+    partials = exchange.one_block(
         ds.select_columns([col])
         .map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(merge, batch_format="pyarrow", batch_size=merge_batch)
-        .repartition(1)
-        .map_batches(merge, batch_format="pyarrow")
+        .map_batches(merge, batch_format="pyarrow", batch_size=merge_batch),
+        merge,
     )
     rows = partials.take_all()
     q = pa.array(items)

@@ -41,8 +41,8 @@ def salted_count_distinct(
 
     Stage 1 dedups (keys, col) — the per-block combiner shrinks a hot key's
     contribution to ≤ blocks × |distinct values| rows before any shuffle;
-    stage 2 counts survivors per key. Mirrors SURVEY §2.6's two-stage mapping
-    of ``GroupAggregator::CountDistinct``.
+    stage 2 counts each key's non-NULL survivors. Mirrors SURVEY §2.6's
+    two-stage mapping of ``GroupAggregator::CountDistinct``.
     """
     keys = list(keys)
     narrow = ds.select_columns(keys + [col])
@@ -60,7 +60,17 @@ def salted_count_distinct(
     stage1 = exchange.merge(deduped, keys + [col], [])
 
     def block_count(t: pa.Table) -> pa.Table:
-        return group_table_null_safe(t.select(keys), keys, [([], "count_all")])
+        # COUNT(DISTINCT) skips NULL: the (key, NULL) group counts 0, so a
+        # key whose every value is NULL keeps its row, with 0
+        valid = pc.is_valid(t[col]).cast(pa.int64())
+        counts = group_table_null_safe(
+            t.select(keys).append_column("count_all", valid),
+            keys,
+            [("count_all", "sum")],
+        )
+        return counts.rename_columns(
+            ["count_all" if c == "count_all_sum" else c for c in counts.column_names]
+        )
 
     counted = exchange.merge(
         exchange.apply(stage1, block_count), keys, [("count_all", "sum")]

@@ -66,36 +66,36 @@ def grouped_topk(
     ``tie_col`` asc). Combiner-first: each block keeps its own top-k per
     group, then the survivors merge.
 
-    Merge path: ``distributed=None`` (default) counts the surviving
-    candidates (≤ k × groups_per_block per block) and picks automatically —
-    one-block merge while they are within the merge gate's row bound
-    (``exchange.SMALL_MERGE_MAX_PARTIAL_ROWS``), else a key-hash bucket
-    shuffle (``exchange.bucketed``) so each of the ``num_buckets`` merge
-    tasks runs the same vectorized rank-mask over its
+    Merge path: ``distributed=None`` (default) takes the gate
+    (``exchange.gather``): the surviving candidates (≤ k × groups_per_block
+    per block) within its bound merge on the driver, else in a key-hash
+    bucket shuffle (``exchange.hash_exchange``), so each of the
+    ``num_buckets`` merge tasks runs the same vectorized rank-mask over its
     co-located groups; per-worker memory is candidates/num_buckets, never
     k × |groups| (the round-1 single-block scale-killer).
-    ``num_buckets=None`` auto-sizes from the surviving-candidate count
-    (free on the AUTO path, which already counted them)."""
+    ``distributed=False`` merges in one task (``exchange.one_block``),
+    True always shuffles. ``num_buckets=None`` auto-sizes from the
+    surviving-candidate count (free once the gate has materialized
+    them)."""
     keys = list(keys)
 
     def block(t: pa.Table) -> pa.Table:
         return _local_topk(t, keys, score_col, tie_col, k)
 
-    from sqlgrep_ray.stages.exchange import SMALL_MERGE_MAX_PARTIAL_ROWS, bucketed
+    from sqlgrep_ray.stages import exchange
     from sqlgrep_ray.stages.window import resolve_buckets
 
     cands = ds.map_batches(block, batch_format="pyarrow", zero_copy_batch=True)
-    cand_count = None
     if distributed is None:
-        cands = cands.materialize()  # narrow: combiner already ran
-        cand_count = cands.count()
-        distributed = cand_count > SMALL_MERGE_MAX_PARTIAL_ROWS
-    if not distributed:
-        return cands.repartition(1).map_batches(block, batch_format="pyarrow")
+        rows, cands = exchange.gather(cands)
+        if rows is not None:
+            return ray.data.from_arrow(block(rows)) if rows.num_columns else cands
+    elif not distributed:
+        return exchange.one_block(cands, block)
 
-    num_buckets = resolve_buckets(num_buckets, cands, n_rows=cand_count)
+    num_buckets = resolve_buckets(num_buckets, cands)
 
     def bucket_topk(g: pa.Table) -> pa.Table:
         return _local_topk(g.drop_columns(["__b"]), keys, score_col, tie_col, k)
 
-    return bucketed(cands, keys, num_buckets, bucket_topk)
+    return exchange.hash_exchange(cands, keys, num_buckets, bucket_topk)

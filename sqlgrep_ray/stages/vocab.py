@@ -89,9 +89,9 @@ def top_tokens(
         )
         return t.take(idx.slice(0, n))
 
-    return (
-        token_frequencies(ds, text_col=text_col, lower=lower)
-        .map_batches(local_topn, batch_format="pyarrow", zero_copy_batch=True)
-        .repartition(1)
-        .map_batches(local_topn, batch_format="pyarrow")
+    return exchange.one_block(
+        token_frequencies(ds, text_col=text_col, lower=lower).map_batches(
+            local_topn, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        local_topn,
     )

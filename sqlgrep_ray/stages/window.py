@@ -82,13 +82,17 @@ def _estimate_rows(ds: "ray.data.Dataset") -> int:
     of the (lazy) input, ~0.1 s of fixed cost before any data. Callers
     that know the count, e.g. from Parquet footers, pass ``n_rows`` to
     :func:`resolve_buckets` instead."""
+    n = known_rows(ds)
+    return int(ds.count() if n is None else n)
+
+
+def known_rows(ds: "ray.data.Dataset") -> "int | None":
+    """Row count of ``ds`` when Ray knows it without running anything
+    (``_meta_count``), else None."""
     try:
-        n = ds._meta_count()
+        return ds._meta_count()
     except Exception:  # pragma: no cover - private-API drift guard
-        n = None
-    if n is None:
-        n = ds.count()
-    return int(n)
+        return None
 
 
 def resolve_buckets(
@@ -495,6 +499,7 @@ def partition_windows(
     funcs: Sequence[WinFunc],
     keep_cols: "Sequence[str] | None" = None,
     num_buckets: "int | None" = None,
+    estimate: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Evaluate EVERY ``funcs`` entry over the same ``OVER (PARTITION BY
     key ORDER BY order_col)`` frame in ONE bucket shuffle + ONE in-bucket
@@ -519,7 +524,9 @@ def partition_windows(
 
     Partitioning assumption (documented, same as sessionize): one key's
     rows fit one worker; ``num_buckets=None`` auto-sizes the shuffle via
-    :func:`resolve_buckets`.
+    :func:`resolve_buckets`. Few rows skip the shuffle
+    (``exchange.bucketed``'s gate); ``estimate``, a free upper bound of
+    the row count (Parquet footers), decides that without executing.
 
     ``order_col`` is a column name, or (ENGINE EXTENSION) a sequence of
     names / ``(name, descending)`` pairs for composite and DESC ordering
@@ -1105,7 +1112,9 @@ def partition_windows(
             g = g.append_column(name, arr)
         return g
 
-    return bucketed(ds, keys, num_buckets, window_bucket, cols=cols)
+    return bucketed(
+        ds, keys, num_buckets, window_bucket, cols=cols, estimate=estimate
+    )
 
 
 def lag_shift(
@@ -1805,7 +1814,8 @@ def global_running_ranged(
     tagged_full = ds.map_batches(
         tag, batch_format="pyarrow", zero_copy_batch=True
     )
-    return bucketed(tagged_full, ["__c"], nb, final_bucket)
+    # ungated: no task may hold more than ~chunk_rows rows, at any size
+    return exchange.hash_exchange(tagged_full, ["__c"], nb, final_bucket)
 
 
 def partition_row_number(

@@ -14,6 +14,13 @@ def test_explain_select_windows():
     assert "streaming filter" in txt
     assert "window input: __wv0" in txt
     assert "ONE bucket exchange" in txt
+    # the window names the gate it takes, with its one bound
+    from sqlgrep_ray.stages.exchange import SMALL_MERGE_MAX_PARTIAL_ROWS as b
+
+    assert (
+        f"one bucket, no exchange, when the rows are ≤ {b:,} rows and "
+        f"{32 * b // 10**6} MB, else ONE bucket exchange (Sort)"
+    ) in txt
     assert "chunk-safe distributed ranged path" in txt
     assert "project:" in txt
 
@@ -44,7 +51,9 @@ def test_explain_statement_shapes():
     assert "derived table d:" in txt
     assert "broadcast build side" in txt
     assert "CROSS c" in txt and "cartesian" in txt
-    assert "combiner-first top-n" in txt
+    assert "combiner-first top-n, merged in one task, no Repartition" in txt
+    off = explain_sql("SELECT k FROM t LIMIT 3 OFFSET 2")
+    assert "offset: merged in one task, no Repartition" in off
     u = explain_sql("SELECT k FROM a UNION ALL SELECT k FROM b")
     assert "UNION ALL over 2 members" in u
     sub = explain_sql(

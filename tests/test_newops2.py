@@ -261,59 +261,6 @@ def test_sample_frames_uniform(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# int8 embedding quantization
-# ---------------------------------------------------------------------------
-
-
-def test_quantize_roundtrip_error_bound(ray_session):
-    import ray.data
-
-    from sqlgrep_ray.stages.quantize import dequantize_embeddings, quantize_embeddings
-
-    rng = np.random.default_rng(13)
-    vecs = rng.normal(0, 1, size=(50, 32)).astype(np.float32)
-    ds = _emb_ds(list(vecs))
-    q = quantize_embeddings(ds, vec_col="embedding")
-    back = dequantize_embeddings(q)
-    rows = {r["vec_id"]: np.asarray(r["embedding"]) for r in back.take_all()}
-    for i, v in enumerate(vecs):
-        scale = np.abs(v).max() / 127.0
-        err = np.abs(rows[i] - v).max()
-        assert err <= scale / 2 + 1e-6, (i, err, scale)
-    # 4x storage: d int8 bytes + one float scale vs d float32
-    qrows = q.take_all()
-    assert len(qrows[0]["q8"]) == 32
-
-
-def test_quantized_knn_recall(ray_session):
-    from sqlgrep_ray.stages.quantize import dequantize_embeddings, quantize_embeddings
-    from sqlgrep_ray.stages.similarity import knn_brute_force
-
-    rng = np.random.default_rng(21)
-    vecs = rng.normal(0, 1, size=(120, 16)).astype(np.float32)
-    ds = _emb_ds(list(vecs))
-    import pyarrow as pa
-
-    q = pa.table(
-        {
-            "query_id": pa.array([0, 1], pa.int64()),
-            "embedding": pa.array([vecs[0], vecs[1]]),
-        }
-    )
-    exact = {
-        (r["query_id"], r["vec_id"])
-        for r in knn_brute_force(ds, q, k=5).take_all()
-    }
-    deq = dequantize_embeddings(quantize_embeddings(ds))
-    approx = {
-        (r["query_id"], r["vec_id"])
-        for r in knn_brute_force(deq, q, k=5).take_all()
-    }
-    recall = len(exact & approx) / len(exact)
-    assert recall >= 0.8
-
-
-# ---------------------------------------------------------------------------
 # KLL quantile sketch
 # ---------------------------------------------------------------------------
 
