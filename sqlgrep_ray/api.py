@@ -115,6 +115,9 @@ def _rebind_plan(plan, bind_expr, join, extra_joins=()):
                 (nm, bind_expr(e))
                 for nm, e in getattr(plan, "win_inputs", ())
             ),
+            windows=tuple(
+                _rebind_window(w, bind_expr) for w in getattr(plan, "windows", ())
+            ),
         )
     return dataclasses.replace(
         plan,
@@ -141,6 +144,29 @@ def _rebind_plan(plan, bind_expr, join, extra_joins=()):
         join=join,
         extra_joins=tuple(extra_joins),
     )
+
+
+def _rebind_window(w, bind_expr):
+    """``w`` with its value, PARTITION BY and ORDER BY column names bound
+    as ``bind_expr`` binds a column (a joined side's prefixed name)."""
+
+    def name(n):
+        e = bind_expr(Col(n)) if n else None
+        return e.name if isinstance(e, Col) else n
+
+    key, order = w.key, w.order
+    if key is not None:
+        key = name(key) if isinstance(key, str) else tuple(map(name, key))
+    if order is not None:
+        order = (
+            name(order)
+            if isinstance(order, str)
+            else tuple(
+                name(o) if isinstance(o, str) else (name(o[0]),) + tuple(o[1:])
+                for o in order
+            )
+        )
+    return dataclasses.replace(w, key=key, order=order, value_col=name(w.value_col))
 
 
 def _materialize_right(

@@ -7,12 +7,12 @@ keyword on the CLI/REPL. The physical annotations mirror the actual
 dispatch logic in ``pipelines/runner.py`` (cited per line) so the output
 stays honest about shuffles: broadcast joins = zero exchanges, holistic
 aggregates = one hash shuffle + map_groups. Every gated exchange names
-the gate (``exchange.gather``) and its one bound,
-``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and as many 32-byte rows in size:
-associative aggregates, two-stage COUNT(DISTINCT) and SELECT DISTINCT
-merge on the driver within it, else in one bucketed merge (two for
-two-stage COUNT(DISTINCT)); a window frame is one bucket within it, else
-one bucket exchange. Top-n merges finish in one task, with no
+the gate's one bound, ``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and as many
+32-byte rows in size: associative aggregates, two-stage COUNT(DISTINCT)
+and SELECT DISTINCT merge on the driver within it
+(``exchange.gather``), else in one bucketed merge (two for two-stage
+COUNT(DISTINCT)); a window frame over a Parquet path whose footers are
+within it is one bucket in one task, else one bucket exchange. Top-n merges finish in one task, with no
 Repartition (``exchange.one_block``).
 """
 
@@ -162,10 +162,10 @@ def _explain_plan(plan, out: list, indent: str) -> None:
                     f"{pad}  window frame PARTITION BY {key} ORDER BY "
                     f"{order}: [{fns}] — fused per-frame kernels; "
                     + _gate(
-                        "one bucket, no exchange, when the rows are",
-                        "ONE bucket exchange (Sort), auto-sized buckets; the "
-                        "one bucket runs on the driver, or in one task when "
-                        "a Parquet footer bounds the rows",
+                        "one bucket in one task, no exchange, when the "
+                        "FROM path's Parquet footers read",
+                        "ONE bucket exchange (Sort), auto-sized buckets, as "
+                        "for every Dataset source or JOIN",
                     )
                 )
         if getattr(plan, "qualify", None) is not None:
@@ -291,7 +291,7 @@ ONE_TASK = "merged in one task, no Repartition"
 
 
 def _gate(small: str, exchange: str) -> str:
-    """The choice of ``exchange.gather``: ``small`` within its bound, else
+    """The gate's choice: ``small`` within its one bound, else
     ``exchange``."""
     from sqlgrep_ray.stages.exchange import SMALL_MERGE_MAX_PARTIAL_ROWS as b
 

@@ -98,6 +98,26 @@ def referenced_columns(plan: Plan) -> Optional[list[str]]:
     """Input columns a plan reads — pass to ``read_parquet(columns=…)`` so
     only needed columns leave storage ("prune at the read"). Returns None
     for wildcard selects (all columns needed)."""
+    cols = _read_columns(plan)
+    if cols is None:
+        return None
+    if plan.join is not None:
+        lk, rk = plan.join.left_key, plan.join.right_key
+        cols.update([lk] if isinstance(lk, str) else lk)
+        # right-side columns come from the broadcast table, not the read
+        right = plan.join.right
+        if isinstance(right, pa.Table):
+            prefix = plan.join.right_prefix
+            for n in right.column_names:
+                cols.discard(prefix + n if prefix else n)
+        for k in [rk] if isinstance(rk, str) else rk:
+            cols.discard(k)
+    return sorted(cols)
+
+
+def _read_columns(plan: Plan) -> Optional[set]:
+    """Columns ``plan`` reads from its joined input, the join's own keys
+    aside; None for a wildcard select."""
     cols: set[str] = set()
 
     def walk(e) -> None:
@@ -152,18 +172,7 @@ def referenced_columns(plan: Plan) -> Optional[list[str]]:
         walk(plan.where)
         # having is NOT walked: it references OUTPUT names (agg aliases),
         # not input columns; its input needs arrive via the agg args
-    if plan.join is not None:
-        lk, rk = plan.join.left_key, plan.join.right_key
-        cols.update([lk] if isinstance(lk, str) else lk)
-        # right-side columns come from the broadcast table, not the read
-        right = plan.join.right
-        if isinstance(right, pa.Table):
-            prefix = plan.join.right_prefix
-            for n in right.column_names:
-                cols.discard(prefix + n if prefix else n)
-        for k in [rk] if isinstance(rk, str) else rk:
-            cols.discard(k)
-    return sorted(cols)
+    return cols
 
 
 def run_plan(
@@ -730,9 +739,10 @@ def run_select(
         # actually reads ride the exchange (a 3-column window query over
         # a 50-column table must not shuffle 50 columns)
         if plan.projections is not None:
-            needed = referenced_columns(plan)
+            # the joined rows: both sides' columns, by their joined names
+            needed = _read_columns(plan)
             if needed:
-                ds = ds.select_columns(needed)
+                ds = ds.select_columns(sorted(needed))
 
         # hidden pre-window inputs (expression window arguments): one
         # streaming map_batches evaluates every __wv* column before the

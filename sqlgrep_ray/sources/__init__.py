@@ -28,9 +28,11 @@ def list_input_shards(input_dir: str) -> list[str]:
     )
 
 
-def _read_blocks(n_files: int) -> int:
-    """Read tasks for ``n_files`` Parquet files: one per file, but never
-    more than 4 per CPU.
+def _read_blocks(n_files: int, nbytes: int = 0) -> int:
+    """Read tasks for ``n_files`` Parquet files holding ``nbytes`` in
+    memory (0 when the caller does not read the footers): one per file,
+    or one per Ray's target block size (``target_max_block_size``,
+    128 MB) where that is more, but never more than 4 per CPU.
 
     Never more blocks than files: Ray's default block count splits a read
     of a few files with a ``SplitBlocks`` step, which breaks read→map
@@ -40,15 +42,24 @@ def _read_blocks(n_files: int) -> int:
     ~4 tasks per CPU: at 800 shards, one task per file pays ~3 s of pure
     task overhead per stage at 32 CPUs (round-4 block-size sweep in
     BASELINE.md: 800 blocks 7.6 s vs 128 blocks 4.6 s for the same
-    pipeline). The trade-off: an input of fewer files than CPUs is no
-    longer split, so one large file reads (and maps) in one task."""
+    pipeline). The trade-off: a file is split only when its footers
+    count more than one target block, so a file of up to 128 MB reads
+    (and maps) in one task, however many CPUs are idle; a larger one
+    splits (``SplitBlocks``) and its maps fan out, as Ray's default does."""
+    target = ray.data.DataContext.get_current().target_max_block_size or 1
+    return max(1, min(max(n_files, -(-nbytes // target)), _max_read_blocks()))
+
+
+def _max_read_blocks() -> int:
+    """The cap of :func:`_read_blocks`: 4 read tasks per CPU."""
     cpus = ray.cluster_resources().get("CPU", 8) if ray.is_initialized() else 8
-    return max(1, min(n_files, int(cpus) * 4))
+    return int(cpus) * 4
 
 
 def read_shards(files: Sequence[str], **kwargs) -> "ray.data.Dataset":
     """``ray.data.read_parquet`` over shard files, one read task per file
-    up to the cap of :func:`_read_blocks`."""
+    up to the cap of :func:`_read_blocks`. Shard footers are not read:
+    shards are many small files, so a shard is never split."""
     files = list(files)
     return ray.data.read_parquet(
         files, override_num_blocks=_read_blocks(len(files)), **kwargs
@@ -58,12 +69,15 @@ def read_shards(files: Sequence[str], **kwargs) -> "ray.data.Dataset":
 def read_parquet_clean(paths: Any, **kwargs) -> "ray.data.Dataset":
     """``ray.data.read_parquet`` + schema-metadata strip (fuses with the
     read; keeps real warnings visible downstream), with the block rule of
-    :func:`read_shards` over the files Ray lists (:func:`_parquet_files`):
-    a one-file source reads, strips and runs every downstream map in one
-    fused task."""
+    :func:`_read_blocks` over the files Ray lists (:func:`_parquet_files`)
+    and, when they are fewer than the cap, their footer size: a one-file
+    source of up to 128 MB reads, strips and runs every downstream map in
+    one fused task."""
     if "override_num_blocks" not in kwargs:
         try:
-            kwargs["override_num_blocks"] = _read_blocks(len(_parquet_files(paths)))
+            files = _parquet_files(paths)
+            nbytes = _files_size(files)[1] if len(files) < _max_read_blocks() else 0
+            kwargs["override_num_blocks"] = _read_blocks(len(files), nbytes)
         except (OSError, ValueError, pa.ArrowException):
             pass  # a listing pyarrow cannot make: Ray's own block count
     return ray.data.read_parquet(paths, **kwargs).map_batches(
@@ -112,15 +126,40 @@ def parquet_names(path: str) -> tuple[list[str], list[str]]:
     return names, [k for k in parts if k not in names]
 
 
-def parquet_size(path: str) -> tuple[int, int]:
-    """(rows, uncompressed bytes) of ``path`` from its Parquet footers."""
+def _chunk_bytes(c) -> int:
+    """In-memory bytes of one Parquet column chunk, from its footer: its
+    uncompressed bytes, or, for a dictionary-encoded string chunk, which
+    decodes to more, a 4-byte offset plus the longer of its min and max
+    statistics for each value. Without those statistics each value counts
+    as long as the whole chunk: no value is longer than the dictionary
+    that holds it."""
+    nbytes = c.total_uncompressed_size
+    if not c.has_dictionary_page or "BYTE_ARRAY" not in c.physical_type:
+        return nbytes
+    st = c.statistics if c.is_stats_set else None
+    if st is not None and st.has_min_max:
+        width = max(len(st.min_raw), len(st.max_raw))
+    else:
+        width = nbytes
+    return max(nbytes, c.num_values * (width + 4))
+
+
+def _files_size(files: list) -> tuple[int, int]:
+    """(rows, in-memory bytes) of :func:`_parquet_files` ``files`` from
+    their footers (:func:`_chunk_bytes`)."""
     rows = nbytes = 0
-    for f, _ in _parquet_files(path):
+    for f, _ in files:
         md = f.metadata
         rows += md.num_rows
-        groups = (md.row_group(i) for i in range(md.num_row_groups))
-        nbytes += sum(g.total_byte_size for g in groups)
+        for i in range(md.num_row_groups):
+            g = md.row_group(i)
+            nbytes += sum(_chunk_bytes(g.column(j)) for j in range(g.num_columns))
     return rows, nbytes
+
+
+def parquet_size(path: str) -> tuple[int, int]:
+    """(rows, in-memory bytes) of ``path`` from its Parquet footers."""
+    return _files_size(_parquet_files(path))
 
 
 def read_parquet_table(path: str, columns: Optional[list] = None) -> pa.Table:

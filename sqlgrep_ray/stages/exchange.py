@@ -3,11 +3,12 @@
 Every keyed operator that cannot finish per block moves its rows once,
 through ``groupby("__b").map_groups`` on a block-stable key hash
 (:func:`bucket_ids`), and finishes one bucket per Python call — unless
-the rows are few. One gate, :func:`gather`, with one bound
-(``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and 32 bytes a row), decides that
-for every exchange: at most that many rows finish without one, since
-Ray's all-to-all costs a Sort or Repartition operator (~0.1 s of fixed
-cost on one CPU) however few rows it moves.
+the rows are few. One bound (``SMALL_MERGE_MAX_PARTIAL_ROWS`` rows and
+32 bytes a row) decides that for every exchange: at most that many rows
+finish without one, since Ray's all-to-all costs a Sort or Repartition
+operator (~0.1 s of fixed cost on one CPU) however few rows it moves.
+The driver gate, :func:`gather`, measures a materialized input against
+it; :func:`bucketed` a free estimate, so that it never executes.
 
 * :func:`merge` — per-block combiner partials (sums, mins, maxes keyed on
   their group) merge in one ``pa.TableGroupBy``: on the driver when they
@@ -15,10 +16,10 @@ cost on one CPU) however few rows it moves.
   keyed aggregate of the engine goes through it: GROUP BY, DISTINCT, set
   operations and the text, dedup and graph stages;
 * :func:`bucketed` — one input: the window family, sessionize,
-  conversation reassembly, grouped top-k and percentiles. Under the gate
-  the rows are one bucket, finished on the driver (or, with a free
-  estimate, in one lazy task: :func:`one_block`); else
-  :func:`hash_exchange`;
+  conversation reassembly, grouped top-k and percentiles. When a free
+  estimate (Parquet footers) passes the gate's bound, the rows are one
+  bucket, finished in one lazy task (:func:`one_block`); else
+  :func:`hash_exchange`, lazy too;
 * :func:`one_block` — a finish that needs every row in one call (top-n
   merges, one-block sketch merges, key sorts of small results): one task
   that bundles every block, with no Repartition;
@@ -76,21 +77,16 @@ def _rows(ds: "ray.data.Dataset") -> pa.Table:
     return pa.concat_tables(tbls, promote_options="default")
 
 
-def gather(
-    ds: "ray.data.Dataset", estimate: "int | None" = None
-) -> "tuple[pa.Table | None, ray.data.Dataset]":
+def gather(ds: "ray.data.Dataset") -> "tuple[pa.Table | None, ray.data.Dataset]":
     """The engine's one driver gate: ``(rows, ds)``.
 
-    A free ``estimate`` of :func:`gate_size` (Parquet footers, a count
-    the caller holds) above the bound answers ``(None, ds)`` with nothing
-    executed. Otherwise ``ds`` is materialized once, and its exact row
-    count and bytes (block metadata) are checked against the bound: within
-    it, ``rows`` is every row as one ``pa.Table`` (no columns when ``ds``
-    holds no block); beyond it, ``rows`` is None. Either way the returned
-    ``ds`` is the materialized one, so the caller's exchange does not run
-    the upstream again."""
-    if estimate is not None and estimate > SMALL_MERGE_MAX_PARTIAL_ROWS:
-        return None, ds
+    ``ds`` is materialized once, and its exact row count and bytes (block
+    metadata) are checked against the bound: within it, ``rows`` is every
+    row as one ``pa.Table`` (no columns when ``ds`` holds no block);
+    beyond it, ``rows`` is None. Either way the returned ``ds`` is the
+    materialized one, so the caller's exchange does not run the upstream
+    again. A caller that may not execute (a query binding) does not call
+    it: :func:`bucketed` decides from a free estimate instead."""
     ds = ds.materialize()
     if gate_size(ds.count(), ds.size_bytes()) > SMALL_MERGE_MAX_PARTIAL_ROWS:
         return None, ds
@@ -205,14 +201,14 @@ def bucketed(
 ) -> "ray.data.Dataset":
     """[prune] → ``bucket_fn`` over buckets of rows whose keys hash alike;
     ``bucket_fn`` receives the bucket table WITH the ``__b`` column (drop
-    it first thing) and handles any set of whole keys.
+    it first thing) and handles any set of whole keys. Lazy: nothing
+    executes here.
 
-    Under the gate (:func:`gather`) every row is one bucket: one call on
-    the driver, or, when the caller passes a free ``estimate``
-    (:func:`gate_size`) within the bound, one call in one lazy task
-    (:func:`one_block`), so a query that binds without executing still
-    does. Above it, the rows move
-    through :func:`hash_exchange` in ``num_buckets`` buckets."""
+    When the caller passes a free ``estimate`` (:func:`gate_size`, e.g.
+    from Parquet footers) within the gate's bound, every row is one
+    bucket, finished in one task (:func:`one_block`). Otherwise the rows
+    move through :func:`hash_exchange` in ``num_buckets`` buckets: without
+    a free estimate, learning the size would execute the input."""
     if cols is not None:
         ds = ds.select_columns(list(cols))
 
@@ -222,9 +218,6 @@ def bucketed(
 
     if estimate is not None and estimate <= SMALL_MERGE_MAX_PARTIAL_ROWS:
         return one_block(ds, one_bucket)
-    rows, ds = gather(ds, estimate)
-    if rows is not None and rows.num_rows:
-        return ray.data.from_arrow(one_bucket(rows))
     return hash_exchange(ds, keys, num_buckets, bucket_fn)
 
 

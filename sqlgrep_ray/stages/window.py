@@ -524,9 +524,10 @@ def partition_windows(
 
     Partitioning assumption (documented, same as sessionize): one key's
     rows fit one worker; ``num_buckets=None`` auto-sizes the shuffle via
-    :func:`resolve_buckets`. Few rows skip the shuffle
-    (``exchange.bucketed``'s gate); ``estimate``, a free upper bound of
-    the row count (Parquet footers), decides that without executing.
+    :func:`resolve_buckets`. ``estimate``, a free upper bound of the
+    input's size in the gate's measure (Parquet footers), lets few rows
+    skip the shuffle and run as one bucket in one task
+    (``exchange.bucketed``); without it the rows always shuffle.
 
     ``order_col`` is a column name, or (ENGINE EXTENSION) a sequence of
     names / ``(name, descending)`` pairs for composite and DESC ordering

@@ -18,8 +18,9 @@ def test_explain_select_windows():
     from sqlgrep_ray.stages.exchange import SMALL_MERGE_MAX_PARTIAL_ROWS as b
 
     assert (
-        f"one bucket, no exchange, when the rows are ≤ {b:,} rows and "
-        f"{32 * b // 10**6} MB, else ONE bucket exchange (Sort)"
+        f"one bucket in one task, no exchange, when the FROM path's Parquet "
+        f"footers read ≤ {b:,} rows and {32 * b // 10**6} MB, else ONE bucket "
+        f"exchange (Sort)"
     ) in txt
     assert "chunk-safe distributed ranged path" in txt
     assert "project:" in txt

@@ -1,5 +1,6 @@
-"""One driver gate (``exchange.gather``) for every small exchange, and one
-task (``exchange.one_block``) for every one-block finish: each client gives
+"""One bound for every small exchange (the driver gate
+``exchange.gather``, or a Parquet footer estimate), and one task
+(``exchange.one_block``) for every one-block finish: each client gives
 the same rows with the gate open and forced shut
 (``SMALL_MERGE_MAX_PARTIAL_ROWS = 0``), and a ``run_sql`` window, top-n
 and GROUP BY over a one-file Parquet source run no ``SplitBlocks``,
@@ -54,9 +55,10 @@ def _both(monkeypatch, run) -> tuple:
 
 @pytest.mark.parametrize("blocks", ["null_keys", "null_typed_first"])
 def test_window_gate_branches_agree(ray_session, monkeypatch, tmp_path, blocks):
-    """The window's one bucket (on the driver for a Dataset, in one lazy
-    task for a footer-bounded Parquet path) and its bucket exchange give
-    DuckDB's rows, over NULL keys and over a first block typed ``null``."""
+    """The window's bucket exchange (a Dataset source, or the gate shut)
+    and its one bucket in one task (a Parquet path whose footers pass the
+    gate) give DuckDB's rows, over NULL keys and over a first block typed
+    ``null``."""
     import ray.data
 
     if blocks == "null_keys":
@@ -66,13 +68,8 @@ def test_window_gate_branches_agree(ray_session, monkeypatch, tmp_path, blocks):
     whole = pa.concat_tables(parts, promote_options="default")
     want = sorted(_duck(sql, t=whole), key=_key)
 
-    def on_dataset():
-        rows = run_sql(sql, {"t": ray.data.from_arrow(parts)}).take_all()
-        return sorted(rows, key=_key)
-
-    driver, shut = _both(monkeypatch, on_dataset)
-    assert driver == want
-    assert shut == want
+    rows = run_sql(sql, {"t": ray.data.from_arrow(parts)}).take_all()
+    assert sorted(rows, key=_key) == want
     if blocks == "null_keys":
         path = str(tmp_path / "t.parquet")
         pq.write_table(whole, path)
@@ -273,12 +270,15 @@ def test_one_file_source_runs_no_split_sort_or_repartition(
         assert sorted(got, key=_key) == sorted(want, key=_key)
 
 
+@pytest.mark.parametrize("dictionary", [False, True])
 def test_window_over_wide_footer_bytes_takes_the_exchange(
-    ray_session, monkeypatch, tmp_path
+    ray_session, monkeypatch, tmp_path, dictionary
 ):
     """The footer estimate counts bytes as 32-byte rows, as the gate does:
     100 rows of 1 kB strings pass a 1,000-row bound by rows but not by
-    bytes, so the window shuffles (a ``Sort``) instead of taking one task."""
+    bytes, so the window shuffles (a ``Sort``) instead of taking one task.
+    Dictionary-encoded, the strings take ~1 kB in the file but 100 kB
+    once read, and count as read."""
     from ray.data._internal.execution import streaming_executor as se
 
     t = pa.table(
@@ -289,7 +289,9 @@ def test_window_over_wide_footer_bytes_takes_the_exchange(
         }
     )
     path = str(tmp_path / "wide.parquet")
-    pq.write_table(t, path, use_dictionary=False)
+    pq.write_table(t, path, use_dictionary=dictionary)
+    md = pq.ParquetFile(path).metadata
+    assert (md.row_group(0).total_byte_size < 10_000) == dictionary
     sql = "SELECT k, o, pad, ROW_NUMBER() OVER (PARTITION BY k ORDER BY o) AS rn FROM t"
     ops: list = []
     execute = se.StreamingExecutor.execute
@@ -306,3 +308,34 @@ def test_window_over_wide_footer_bytes_takes_the_exchange(
     assert not ops  # decided from the footers, at bind
     assert sorted(ds.take_all(), key=_key) == want
     assert "Sort" in ds.stats()
+
+
+def test_one_file_source_splits_past_the_target_block_size(
+    ray_session, monkeypatch, tmp_path
+):
+    """A one-file source reads in one task up to Ray's target block size
+    by its footers, and splits into one block per target size beyond."""
+    import math
+
+    import ray.data
+
+    from sqlgrep_ray import sources
+
+    path = str(tmp_path / "wide.parquet")
+    pq.write_table(pa.table({"pad": ["x" * 1000] * 100}), path, use_dictionary=False)
+    seen: dict = {}
+    read = ray.data.read_parquet
+
+    def spy(paths, **kwargs):
+        seen.update(kwargs)
+        return read(paths, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", spy)
+    sources.read_parquet_clean(path)
+    assert seen["override_num_blocks"] == 1
+    ctx = ray.data.DataContext.get_current()
+    monkeypatch.setattr(ctx, "target_max_block_size", 40_000)
+    ds = sources.read_parquet_clean(path)
+    blocks = math.ceil(sources.parquet_size(path)[1] / 40_000)
+    assert blocks == 3 and seen["override_num_blocks"] == blocks
+    assert ds.count() == 100

@@ -37,6 +37,11 @@ PROBE_FREE = {
     "FROM orders",
     "topn": "SELECT l_orderkey, l_linenumber, l_price FROM lineitem "
     "ORDER BY l_price DESC NULLS LAST, l_linenumber LIMIT 3",
+    # a join can multiply the FROM side's rows: no footer bounds the
+    # window's input, so it shuffles, lazily
+    "window_join": "SELECT l_orderkey, l_linenumber, o_custkey, ROW_NUMBER() "
+    "OVER (PARTITION BY o_custkey ORDER BY l_orderkey, l_linenumber) AS rn "
+    "FROM lineitem JOIN orders ON l_orderkey = o_orderkey",
 }
 
 
